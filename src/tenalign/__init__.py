@@ -33,6 +33,7 @@ from .errors import (
     DegenerateIterateError,
     DegenerateProblemError,
     DimensionMismatchError,
+    InputFormatError,
     NumericalFailureError,
     TenalignError,
     UnsupportedContractionError,

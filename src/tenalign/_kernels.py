@@ -1,46 +1,31 @@
-"""Hot contraction kernels with numba acceleration and numpy fallbacks.
+"""Hot contraction kernels in vectorized numpy.
 
 Two operations dominate alignment runtime: the pairwise implicit product
 contraction (quadratic in the motif counts) and the batched multi-vector
-contraction used to expand low-rank factor columns.  Both are implemented
-twice: a compiled sequential kernel and a pure-numpy reference.  The two
-paths use different summation orders, so results agree to roundoff rather
-than bitwise; each path on its own is deterministic run to run.
-
-Set ``TENALIGN_NO_NUMBA=1`` to force the numpy fallbacks.
+contraction used to expand low-rank factor columns.  Each has one
+implementation here, deterministic run to run; :func:`ttv_tuples` is the
+only multi-vector contraction loop in the package.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-__all__ = ["implicit_pair_contract", "ttv_column_block", "using_numba"]
-
-_DISABLED = os.environ.get("TENALIGN_NO_NUMBA", "") not in ("", "0")
-try:  # pragma: no cover - exercised implicitly
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap
+__all__ = [
+    "implicit_pair_contract",
+    "ttv_column_block",
+    "ttv_tuples",
+    "using_numba",
+]
 
 
 def using_numba() -> bool:
-    """True when the compiled kernels are active."""
-    return _HAVE_NUMBA
+    """Always False: the kernels are pure numpy."""
+    return False
 
 
 @lru_cache(maxsize=32)
@@ -55,37 +40,22 @@ def _tables(k: int):
     return perms, rest
 
 
-@njit(cache=True)
-def _implicit_nb(EA, wA, EB, wB, X, perms, rest, gamma, m, n):  # pragma: no cover
-    nnz_a, k = EA.shape
-    nnz_b = EB.shape[0]
-    nperm = perms.shape[0]
-    Y = np.zeros((m, n))
-    loc = np.empty((k, k))
-    for ea in range(nnz_a):
-        for eb in range(nnz_b):
-            w = gamma * wA[ea] * wB[eb]
-            for s in range(k):
-                for t in range(k):
-                    loc[s, t] = X[EA[ea, s], EB[eb, t]]
-            for a in range(k):
-                for b in range(k):
-                    acc = 0.0
-                    for p in range(nperm):
-                        prod = 1.0
-                        for t in range(k - 1):
-                            prod *= loc[rest[a, t], rest[b, perms[p, t]]]
-                        acc += prod
-                    Y[EA[ea, a], EB[eb, b]] += w * acc
-    return Y
+def implicit_pair_contract(EA, wA, EB, wB, X, m, n):
+    """Pairwise hyperedge contraction: the implicit product-tensor apply.
 
-
-def _implicit_np(EA, wA, EB, wB, X, perms, rest, gamma, m, n):
+    ``Y[i, i'] = sum over hyperedge pairs (e in A containing i, f in B
+    containing i') of wA(e) * wB(f) * (k-1)! * perm(X[e \\ i, f \\ i'])``,
+    which equals the order-(k-1) contraction of the product tensor against
+    ``X`` without forming it.  Work is O(nnz_A * nnz_B * (k!)^2 / k).
+    """
     nnz_a, k = EA.shape
     nnz_b = EB.shape[0]
     Y = np.zeros((m, n))
     if nnz_a == 0 or nnz_b == 0:
         return Y
+    perms, rest = _tables(k)
+    gamma = float(math.factorial(k - 1))
+    X = np.ascontiguousarray(X, dtype=np.float64)
     # chunk the A side so the (chunk, nnz_b) temporaries stay bounded
     chunk = max(1, 4_000_000 // nnz_b)
     for lo in range(0, nnz_a, chunk):
@@ -105,51 +75,23 @@ def _implicit_np(EA, wA, EB, wB, X, perms, rest, gamma, m, n):
     return Y
 
 
-def implicit_pair_contract(EA, wA, EB, wB, X, m, n):
-    """Pairwise hyperedge contraction: the implicit product-tensor apply.
+def ttv_tuples(E, w, M, dim, digits):
+    """Multi-vector contractions for explicit rows of factor-column indices.
 
-    ``Y[i, i'] = sum over hyperedge pairs (e in A containing i, f in B
-    containing i') of wA(e) * wB(f) * (k-1)! * perm(X[e \\ i, f \\ i'])``,
-    which equals the order-(k-1) contraction of the product tensor against
-    ``X`` without forming it.  Work is O(nnz_A * nnz_B * (k!)^2 / k).
+    Column ``t`` of the ``(dim, len(digits))`` result is the order-(k-1)
+    contraction of the hyperedge tensor ``(E, w)`` with the factor columns
+    ``M[:, digits[t, 0]], ..., M[:, digits[t, k-2]]``: entry ``i`` sums, over
+    hyperedges containing ``i`` and over all bijections from the selected
+    columns to the other ``k - 1`` vertices, the hyperedge weight times the
+    assigned factor entries.
     """
-    k = EA.shape[1]
+    nnz, k = E.shape
+    digits = np.asarray(digits, dtype=np.int64).reshape(-1, k - 1)
+    width = digits.shape[0]
+    out = np.zeros((dim, width))
+    if nnz == 0 or width == 0:
+        return out
     perms, rest = _tables(k)
-    gamma = float(math.factorial(k - 1))
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if _HAVE_NUMBA and EA.shape[0] and EB.shape[0]:
-        return _implicit_nb(EA, wA, EB, wB, X, perms, rest, gamma, m, n)
-    return _implicit_np(EA, wA, EB, wB, X, perms, rest, gamma, m, n)
-
-
-@njit(cache=True)
-def _tuples_nb(E, w, M, rest, perms, digits, out):  # pragma: no cover
-    nnz, k = E.shape
-    r = M.shape[1]
-    width = digits.shape[0]
-    nperm = perms.shape[0]
-    km1 = k - 1
-    vloc = np.empty((km1, r))
-    for e in range(nnz):
-        we = w[e]
-        for a in range(k):
-            row = E[e, a]
-            for p in range(nperm):
-                for t in range(km1):
-                    src = E[e, rest[a, perms[p, t]]]
-                    for c in range(r):
-                        vloc[t, c] = M[src, c]
-                for tt in range(width):
-                    prod = we
-                    for t in range(km1):
-                        prod *= vloc[t, digits[tt, t]]
-                    out[row, tt] += prod
-    return out
-
-
-def _tuples_np(E, w, M, rest, perms, digits, out):
-    nnz, k = E.shape
-    width = digits.shape[0]
     for a in range(k):
         acc = np.zeros((nnz, width))
         for p in perms:
@@ -164,21 +106,13 @@ def _tuples_np(E, w, M, rest, perms, digits, out):
 def ttv_column_block(E, w, M, dim, start, stop):
     """Multi-vector contractions for a lexicographic range of column tuples.
 
-    Column ``t`` of the result (for tuple index ``start + t``) is the
-    order-(k-1) contraction of the hyperedge tensor with the factor columns
-    ``M[:, i_1], ..., M[:, i_{k-1}]`` selected by the ``(k-1)``-digit base-r
-    expansion of the tuple index.  Ranges let callers bound memory.
+    Column ``t`` of the result (for tuple index ``start + t``) contracts with
+    the factor columns selected by the ``(k-1)``-digit base-r expansion of
+    the tuple index; see :func:`ttv_tuples`.  Ranges let callers bound memory.
     """
-    nnz, k = E.shape
+    k = E.shape[1]
     r = M.shape[1]
-    perms, rest = _tables(k)
     digits = np.stack(
         np.unravel_index(np.arange(start, stop), (r,) * (k - 1)), axis=1
-    ).astype(np.int64)
-    out = np.zeros((dim, stop - start))
-    if nnz == 0 or stop == start:
-        return out
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _tuples_nb(E, w, M, rest, perms, digits, out)
-    return _tuples_np(E, w, M, rest, perms, digits, out)
+    )
+    return ttv_tuples(E, w, np.ascontiguousarray(M, dtype=np.float64), dim, digits)

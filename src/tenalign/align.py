@@ -52,8 +52,12 @@ __all__ = [
     "lowrank_tame",
     "lambda_tame",
     "rank_reveal",
+    "truncated_svd",
     "objective_value",
 ]
+
+TRUNC_TOL = 1e-12  # singular values at or below this times the largest drop
+ACCUM_BATCH = 16  # tuple columns per batch on the accumulate path
 
 
 @dataclass(frozen=True)
@@ -70,11 +74,8 @@ class AlignOptions:
     beta: float = 0.0
     max_iter: int = 15
     tol: float = 1e-6
-    motif_order: int = 3
     match_every: bool | None = None
     column_cap: int = DEFAULT_COLUMN_CAP
-    accum_batch: int = 16
-    trunc_tol: float = 1e-12
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -266,7 +267,7 @@ def tame(
     )
 
 
-def rank_reveal(U: np.ndarray, V: np.ndarray, trunc_tol: float = 1e-12):
+def rank_reveal(U: np.ndarray, V: np.ndarray, trunc_tol: float = TRUNC_TOL):
     """Exact low-rank truncation of ``U V^T``.
 
     QR-factors both sides, takes the SVD of the small core ``R_U R_V^T``,
@@ -289,6 +290,19 @@ def rank_reveal(U: np.ndarray, V: np.ndarray, trunc_tol: float = 1e-12):
     return FactorPair(new_u, new_v), sigma
 
 
+def truncated_svd(X: np.ndarray):
+    """SVD factors ``(left, right * sigma)`` of a dense matrix, truncated.
+
+    Singular values at or below ``TRUNC_TOL`` relative to the largest are
+    dropped; returns the :class:`FactorPair` and the full singular values.
+    """
+    left, sigma, right_t = np.linalg.svd(X, full_matrices=False)
+    if sigma.size == 0 or not sigma[0] > 0:
+        raise DegenerateIterateError("rank reveal found no nonzero direction")
+    keep = int(np.sum(sigma > TRUNC_TOL * sigma[0]))
+    return FactorPair(left[:, :keep], right_t[:keep].T * sigma[:keep]), sigma
+
+
 def _normalized(factors: FactorPair) -> FactorPair:
     norm = factors.frob_norm()
     if norm == 0 or not np.isfinite(norm):
@@ -301,14 +315,14 @@ def _lam_estimate(prev: FactorPair, u_exp: np.ndarray, v_exp: np.ndarray) -> flo
     return float(np.trace((v_exp.T @ prev.v) @ (prev.u.T @ u_exp)))
 
 
-def _accumulated_contraction(pair, factors, batch):
+def _accumulated_contraction(pair, factors):
     """Dense product-tensor contraction accumulated from column batches."""
     k = pair.order
     r = factors.rank
     total = r ** (k - 1)
     X = np.zeros((pair.dim_a, pair.dim_b))
-    for start in range(0, total, batch):
-        stop = min(start + batch, total)
+    for start in range(0, total, ACCUM_BATCH):
+        stop = min(start + ACCUM_BATCH, total)
         ub = expand_column_block(pair.a, factors.u, start, stop)
         vb = expand_column_block(pair.b, factors.v, start, stop)
         X += ub @ vb.T
@@ -356,9 +370,7 @@ def lowrank_tame(
     converged = False
     for ell in range(1, opts.max_iter + 1):
         r = current.rank
-        n_cols = r ** (k - 1)
-        sigma_ratio = None
-        if n_cols <= opts.column_cap:
+        if r ** (k - 1) <= opts.column_cap:
             path = "expand"
             t0 = time.perf_counter()
             u_exp, v_exp = lowrank_kron_ttv(pair, current.u, current.v, opts.column_cap)
@@ -372,15 +384,12 @@ def lowrank_tame(
             if opts.alpha < 1.0:
                 u_blocks.append(math.sqrt(1.0 - opts.alpha) * x0.u)
                 v_blocks.append(math.sqrt(1.0 - opts.alpha) * x0.v)
-            revealed, sigma = rank_reveal(
-                np.hstack(u_blocks), np.hstack(v_blocks), opts.trunc_tol
-            )
-            sigma_ratio = float(sigma[1] / sigma[0]) if sigma.size > 1 else 0.0
+            revealed, sigma = rank_reveal(np.hstack(u_blocks), np.hstack(v_blocks))
             new_factors = _normalized(revealed)
         else:
             path = "accumulate"
             t0 = time.perf_counter()
-            x_hat = _accumulated_contraction(pair, current, max(1, opts.accum_batch))
+            x_hat = _accumulated_contraction(pair, current)
             t_contract = time.perf_counter() - t0
             prev_dense = current.dense()
             lam = float(np.sum(prev_dense * x_hat))
@@ -395,19 +404,17 @@ def lowrank_tame(
             if norm == 0 or not np.isfinite(norm):
                 raise DegenerateIterateError(f"degenerate iterate at iteration {ell}")
             x_new /= norm
-            left, sigma, right_t = np.linalg.svd(x_new, full_matrices=False)
-            if sigma[0] <= 0:
-                raise DegenerateIterateError("rank reveal found no nonzero direction")
-            keep = int(np.sum(sigma > opts.trunc_tol * sigma[0]))
-            sigma_ratio = float(sigma[1] / sigma[0]) if sigma.size > 1 else 0.0
-            new_factors = FactorPair(left[:, :keep], right_t[:keep].T * sigma[:keep])
+            new_factors, sigma = truncated_svd(x_new)
+        sigma_ratio = float(sigma[1] / sigma[0]) if sigma.size > 1 else 0.0
         if not np.isfinite(lam):
             raise NumericalFailureError("non-finite eigenvalue estimate")
         new_rank = new_factors.rank
         bound = r ** (k - 1) + r + 1
-        assert new_rank <= bound, (
-            f"rank growth bound violated: {new_rank} > {bound} at iteration {ell}"
-        )
+        if new_rank > bound:
+            raise NumericalFailureError(
+                f"rank growth bound violated at iteration {ell}: "
+                f"rank {new_rank} > bound {bound}"
+            )
         matching = score = None
         t_match = 0.0
         if match_every:

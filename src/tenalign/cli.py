@@ -10,7 +10,6 @@ if os.environ.get("TENALIGN_THREADS"):
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",
         "MKL_NUM_THREADS",
-        "NUMBA_NUM_THREADS",
     ):
         os.environ.setdefault(_var, _threads)
 
@@ -22,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import records as rec
-from .align import AlignOptions, FactorPair, lambda_tame, lowrank_tame, tame
+from .align import AlignOptions, FactorPair, lambda_tame, lowrank_tame, tame, truncated_svd
 from .eigen import random_symmetric_tensor, verify_decoupling
 from .errors import TenalignError
 from .graphs import Graph, clique_tensor, load_edge_list, save_edge_list
@@ -115,14 +114,13 @@ def _tensors_for(graph_a: Graph, graph_b: Graph, args):
     return tensor_a, tensor_b, k
 
 
-def _align_opts(args, k: int) -> AlignOptions:
+def _align_opts(args) -> AlignOptions:
     match_every = {"auto": None, "always": True, "final": False}[args.match_every]
     return AlignOptions(
         alpha=args.alpha,
         beta=args.beta,
         max_iter=args.iters,
         tol=args.tol,
-        motif_order=k,
         match_every=match_every,
         column_cap=args.column_cap,
     )
@@ -132,10 +130,7 @@ def _embedding_factors(output) -> FactorPair:
     """Low-rank embedding of the best iterate (SVD-factored when dense)."""
     if output.best_factors is not None:
         return output.best_factors
-    dense = output.best_matrix()
-    left, sigma, right_t = np.linalg.svd(dense, full_matrices=False)
-    keep = max(1, int(np.sum(sigma > 1e-12 * sigma[0]))) if sigma[0] > 0 else 1
-    return FactorPair(left[:, :keep], right_t[:keep].T * sigma[:keep])
+    return truncated_svd(output.best_matrix())[0]
 
 
 def _run_method(method, tensor_a, tensor_b, opts):
@@ -153,7 +148,7 @@ def _align_once(graph_a, graph_b, truth, args, method, refine, seed):
     t0 = time.perf_counter()
     tensor_a, tensor_b, k = _tensors_for(graph_a, graph_b, args)
     tensor_seconds = time.perf_counter() - t0
-    opts = _align_opts(args, k)
+    opts = _align_opts(args)
     t0 = time.perf_counter()
     output = _run_method(method, tensor_a, tensor_b, opts)
     method_seconds = time.perf_counter() - t0

@@ -25,5 +25,9 @@ class NumericalFailureError(TenalignError, ArithmeticError):
     """Non-finite values were produced or supplied where finite ones are required."""
 
 
+class InputFormatError(TenalignError, ValueError):
+    """An input file is malformed; the message names the file (and line)."""
+
+
 class BudgetExceededError(TenalignError, ValueError):
     """A dense/enumeration budget would be exceeded by the requested operation."""

@@ -8,6 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InputFormatError
 from .tensors import MotifTensor
 
 __all__ = [
@@ -16,10 +17,12 @@ __all__ = [
     "save_edge_list",
     "enumerate_cliques",
     "clique_tensor",
+    "nearest_rows",
 ]
 
 MIN_MOTIF = 2
 MAX_MOTIF = 9
+KNN_CHUNK = 4_000_000  # bound on query rows times points per distance block
 
 
 @dataclass(frozen=True)
@@ -97,36 +100,55 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
+def parse_ints(tokens, where: str) -> list:
+    """Integers from text tokens; anything else raises naming ``where``."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise InputFormatError(
+            f"{where}: expected integers, got {' '.join(tokens)!r}"
+        ) from None
+
+
 def load_edge_list(path, n: int | None = None) -> Graph:
     """Read a whitespace-separated 1-based edge list.
 
     Lines starting with ``#`` are comments; a ``# vertices: N`` comment pins
     the vertex count (needed to round-trip graphs whose largest-id vertices
     are isolated).  Duplicate and reversed edges merge; self-loops drop with
-    a warning.
+    a warning.  Non-integer ids, ids below 1 and ids above the vertex count
+    raise :class:`InputFormatError` naming the file and line.
     """
     raw = []
-    max_id = 0
+    max_id = max_line = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.lower().startswith("vertices:"):
-                    n = int(body.split(":", 1)[1])
+                    (n,) = parse_ints([body.split(":", 1)[1].strip()], where)
+                    if n < 0:
+                        raise InputFormatError(f"{where}: negative vertex count {n}")
                 continue
             parts = line.split()
             if len(parts) < 2:
-                raise ValueError(f"{path}: malformed edge line {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+                raise InputFormatError(f"{where}: malformed edge line {line!r}")
+            u, v = parse_ints(parts[:2], where)
             if u < 1 or v < 1:
-                raise ValueError(f"{path}: vertex ids are 1-based, got {line!r}")
+                raise InputFormatError(f"{where}: vertex ids are 1-based, got {line!r}")
             raw.append((u - 1, v - 1))
-            max_id = max(max_id, u, v)
+            if max(u, v) > max_id:
+                max_id, max_line = max(u, v), lineno
     if n is None:
         n = max_id
+    elif max_id > n:
+        raise InputFormatError(
+            f"{path}:{max_line}: vertex id {max_id} exceeds the vertex count {n}"
+        )
     return Graph.from_edges(n, raw)
 
 
@@ -186,3 +208,30 @@ def clique_tensor(graph: Graph, k: int) -> MotifTensor:
     """
     cliques = enumerate_cliques(graph, k)
     return MotifTensor(k, graph.n, cliques, np.ones(cliques.shape[0]))
+
+
+def nearest_rows(points: np.ndarray, rows, ks) -> list:
+    """Exact brute-force nearest neighbours of selected rows of ``points``.
+
+    For each query ``rows[q]`` returns the indices of the ``ks[q]`` other
+    rows closest in squared 2-norm, nearest first (``ks`` is one count or
+    one per query).  Equal distances break toward the lower index, so the
+    neighbour sets are deterministic even when distances tie.  Distances
+    are computed in blocks of at most ``KNN_CHUNK`` query-point pairs to
+    keep memory bounded.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.int64)
+    ks = np.broadcast_to(np.asarray(ks, dtype=np.int64), rows.shape)
+    n = points.shape[0]
+    out = []
+    chunk = max(1, KNN_CHUNK // max(n, 1))
+    for lo in range(0, rows.size, chunk):
+        block = rows[lo:lo + chunk]
+        diff = points[block, None, :] - points[None, :, :]
+        dists = np.einsum("ijk,ijk->ij", diff, diff)
+        for d, row, k in zip(dists, block, ks[lo:lo + chunk]):
+            d[row] = np.inf
+            idx = np.argpartition(d, k - 1)[:k]
+            out.append(idx[np.lexsort((idx, d[idx]))])
+    return out

@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 
+from .errors import InputFormatError
+from .graphs import parse_ints
 from .matching import Matching
 
 __all__ = [
@@ -103,20 +105,31 @@ def load_matching(path) -> Matching:
     n_rows = n_cols = 0
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
+            where = f"{path}:{lineno}"
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("weight:"):
-                    weight = float(body.split(":", 1)[1])
+                    try:
+                        weight = float(body.split(":", 1)[1])
+                    except ValueError:
+                        raise InputFormatError(f"{where}: bad weight {line!r}") from None
                 elif body.startswith("shape:"):
-                    n_rows, n_cols = map(int, body.split(":", 1)[1].split())
-                continue
-            i, j = map(int, line.split()[:2])
-            pairs.append((i - 1, j - 1))
-    return Matching(n_rows, n_cols, pairs, weight)
+                    n_rows, n_cols = _pair(body.split(":", 1)[1].split(), where, line)
+            elif line:
+                i, j = _pair(line.split(), where, line)
+                pairs.append((i - 1, j - 1))
+    try:
+        return Matching(n_rows, n_cols, pairs, weight)
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
+
+
+def _pair(parts, where, line):
+    if len(parts) < 2:
+        raise InputFormatError(f"{where}: expected two integers, got {line!r}")
+    return parse_ints(parts[:2], where)
 
 
 def save_truth(truth: np.ndarray, path) -> None:
@@ -127,17 +140,31 @@ def save_truth(truth: np.ndarray, path) -> None:
 
 
 def load_truth(path) -> np.ndarray:
+    """Read ``A-id B-id`` rows (1-based) into ``truth[a] = b`` (0-based).
+
+    Each A-id and each B-id may appear once, and the A-ids must cover
+    ``1..N``; violations raise :class:`InputFormatError`.
+    """
     mapping = {}
+    seen_b = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            a, b = map(int, line.split()[:2])
+            where = f"{path}:{lineno}"
+            a, b = _pair(line.split(), where, line)
+            if a < 1 or b < 1:
+                raise InputFormatError(f"{where}: ids are 1-based, got {line!r}")
+            if a - 1 in mapping:
+                raise InputFormatError(f"{where}: A-id {a} repeated")
+            if b - 1 in seen_b:
+                raise InputFormatError(f"{where}: B-id {b} repeated")
             mapping[a - 1] = b - 1
+            seen_b.add(b - 1)
     if not mapping:
         return np.empty(0, dtype=np.int64)
     size = max(mapping) + 1
     if sorted(mapping) != list(range(size)):
-        raise ValueError(f"{path}: truth file must cover ids 1..{size}")
+        raise InputFormatError(f"{path}: truth file must cover ids 1..{size}")
     return np.array([mapping[i] for i in range(size)], dtype=np.int64)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import FactorPair
-from .graphs import Graph
+from .errors import NumericalFailureError
+from .graphs import Graph, nearest_rows
 from .matching import Matching
 from .tensors import MotifTensor
 
@@ -39,40 +40,15 @@ class RefineOptions:
         return k
 
 
-def _pairwise_sq(F: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    diff = F[rows, None, :] - F[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
 def knn_embedding_neighbors(F: np.ndarray, row: int, k: int) -> np.ndarray:
     """Indices of the ``k`` rows of ``F`` closest to ``F[row]`` (self excluded).
 
     Exact brute-force distances; ties break toward the lower index.
     """
-    F = np.asarray(F, dtype=np.float64)
-    n = F.shape[0]
+    n = np.shape(F)[0]
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
-    d = _pairwise_sq(F, np.array([row]))[0]
-    d[row] = np.inf
-    idx = np.argpartition(d, k - 1)[:k]
-    return idx[np.lexsort((idx, d[idx]))]
-
-
-def _knn_table(F: np.ndarray, k: int) -> np.ndarray:
-    """All-rows K-nearest table with the same ordering as the single query."""
-    n = F.shape[0]
-    out = np.empty((n, k), dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        dists = _pairwise_sq(F, np.arange(lo, hi))
-        for r in range(lo, hi):
-            d = dists[r - lo]
-            d[r] = np.inf
-            idx = np.argpartition(d, k - 1)[:k]
-            out[r] = idx[np.lexsort((idx, d[idx]))]
-    return out
+    return nearest_rows(F, [row], k)[0]
 
 
 class _SwapState:
@@ -216,8 +192,8 @@ def local_search(
     start_score = (state.motifs, state.edges)
     k_a = min(opts.resolve_k(factors.rank), graph_a.n - 1)
     k_b = min(opts.resolve_k(factors.rank), graph_b.n - 1)
-    knn_a = _knn_table(factors.u, k_a) if k_a >= 1 else None
-    knn_b = _knn_table(factors.v, k_b) if k_b >= 1 else None
+    knn_a = nearest_rows(factors.u, np.arange(graph_a.n), k_a) if k_a >= 1 else None
+    knn_b = nearest_rows(factors.v, np.arange(graph_b.n), k_b) if k_b >= 1 else None
     adj_a, adj_b = graph_a.adjacency, graph_b.adjacency
 
     for _ in range(opts.max_sweeps):
@@ -236,7 +212,11 @@ def local_search(
         if not changed:
             break
 
-    assert (state.motifs, state.edges) >= start_score
+    if (state.motifs, state.edges) < start_score:
+        raise NumericalFailureError(
+            f"refinement lowered the (motifs, edges) score: "
+            f"{start_score} -> {(state.motifs, state.edges)}"
+        )
     pairs = [
         (i, state.match_a[i]) for i in range(graph_a.n) if state.match_a[i] >= 0
     ]

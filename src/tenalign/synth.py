@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, nearest_rows
 
 __all__ = [
     "AlignmentProblem",
@@ -66,22 +66,9 @@ def rgg(n: int, seed=0) -> Graph:
         return Graph(1, np.empty((0, 2), dtype=np.int64))
     ks = np.floor(rng.lognormal(mean=math.log(5.0), sigma=1.0, size=n) + 0.5)
     ks = np.clip(ks, 1, n - 1).astype(np.int64)
-    edges = set()
-    # chunked brute-force neighbor search keeps memory bounded
-    chunk = max(1, 8_000_000 // max(n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        diff = points[lo:hi, None, :] - points[None, :, :]
-        dist = np.einsum("ijk,ijk->ij", diff, diff)
-        for row in range(lo, hi):
-            d = dist[row - lo].copy()
-            d[row] = np.inf
-            kk = int(ks[row])
-            idx = np.argpartition(d, kk - 1)[:kk]
-            idx = idx[np.lexsort((idx, d[idx]))]  # deterministic on ties
-            for j in idx:
-                edges.add((min(row, int(j)), max(row, int(j))))
-    return Graph(n, np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))
+    near = nearest_rows(points, np.arange(n), ks)
+    pairs = np.column_stack([np.repeat(np.arange(n), ks), np.concatenate(near)])
+    return Graph(n, np.unique(np.sort(pairs, axis=1), axis=0))
 
 
 def er_noise(graph: Graph, p: float, seed=0) -> Graph:

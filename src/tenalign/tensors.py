@@ -20,9 +20,11 @@ from itertools import permutations
 
 import numpy as np
 
+from ._kernels import ttv_tuples
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
+    InputFormatError,
     UnsupportedContractionError,
 )
 
@@ -201,20 +203,9 @@ def ttv_multi(tensor: MotifTensor, xs) -> np.ndarray:
         raise DimensionMismatchError(
             f"{k - 1} vectors required for an order-{k} tensor, got {len(xs)}"
         )
-    out = np.zeros(tensor.dim)
-    if tensor.nnz == 0:
-        return out
-    edges, w = tensor.hyperedges, tensor.weights
-    for a in range(k):
-        rest = [c for c in range(k) if c != a]
-        acc = np.zeros(tensor.nnz)
-        for perm in permutations(range(k - 1)):
-            term = w.copy()
-            for t in range(k - 1):
-                term *= xs[t][edges[:, rest[perm[t]]]]
-            acc += term
-        np.add.at(out, edges[:, a], acc)
-    return out
+    cols = np.column_stack(xs)
+    digits = [range(k - 1)]
+    return ttv_tuples(tensor.hyperedges, tensor.weights, cols, tensor.dim, digits)[:, 0]
 
 
 def dense_ttv(arr: np.ndarray, x: np.ndarray, p: int):
@@ -239,28 +230,34 @@ def load_tensor(path) -> MotifTensor:
     """Read the text tensor format: header ``k n nnz`` then hyperedge lines.
 
     Each following line holds ``k`` strictly increasing 1-based indices and a
-    weight; violations are rejected.
+    weight; violations raise :class:`InputFormatError` naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise ValueError(f"{path}: missing 'k n nnz' header")
-    k, n, nnz = (int(t) for t in tokens[:3])
-    body = tokens[3:]
-    if len(body) != nnz * (k + 1):
-        raise ValueError(
+    try:
+        k, n, nnz = (int(t) for t in tokens[:3])
+        body = np.asarray(tokens[3:], dtype=np.float64)
+    except ValueError:
+        raise InputFormatError(
+            f"{path}: expected a 'k n nnz' integer header and numeric lines"
+        ) from None
+    if k < 2 or n < 1 or nnz < 0:
+        raise InputFormatError(f"{path}: bad header 'k={k} n={n} nnz={nnz}'")
+    if body.size != nnz * (k + 1):
+        raise InputFormatError(
             f"{path}: expected {nnz} lines of {k} indices plus a weight"
         )
-    data = np.asarray(body, dtype=np.float64).reshape(nnz, k + 1)
+    data = body.reshape(nnz, k + 1)
     edges = data[:, :k]
     if not np.all(edges == np.round(edges)):
-        raise ValueError(f"{path}: vertex indices must be integers")
+        raise InputFormatError(f"{path}: vertex indices must be integers")
     edges = edges.astype(np.int64)
     if edges.size and (edges.min() < 1 or edges.max() > n):
-        raise ValueError(f"{path}: vertex indices must lie in 1..{n}")
-    if edges.size and not np.all(edges[:, 1:] > edges[:, :-1]):
-        raise ValueError(f"{path}: indices on each line must be strictly increasing")
-    return MotifTensor(k, n, edges - 1, data[:, k])
+        raise InputFormatError(f"{path}: vertex indices must lie in 1..{n}")
+    try:
+        return MotifTensor(k, n, edges - 1, data[:, k])
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def save_tensor(tensor: MotifTensor, path) -> None:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tenalign import align as align_mod
 from tenalign.align import (
     AlignOptions,
     FactorPair,
@@ -12,7 +13,11 @@ from tenalign.align import (
     rank_reveal,
     tame,
 )
-from tenalign.errors import DegenerateIterateError, DegenerateProblemError
+from tenalign.errors import (
+    DegenerateIterateError,
+    DegenerateProblemError,
+    NumericalFailureError,
+)
 from tenalign.graphs import clique_tensor
 from tenalign.synth import make_problem
 from tenalign.tensors import MotifTensor
@@ -118,6 +123,18 @@ class TestLowRank:
         assert out.per_iteration[0].lam == pytest.approx(4.0 / 3.0)
         u = out.best_factors.u[:, 0]
         assert np.allclose(np.abs(u) / np.linalg.norm(u), 1.0 / math.sqrt(3))
+
+
+    def test_rank_growth_guard_raises(self, triangle, monkeypatch):
+        # a rank reveal returning more than r^(k-1) + r + 1 columns stops
+        # the iteration with an error that survives python -O
+        def too_wide(U, V):
+            cols = np.ones((U.shape[0], 4)), np.ones((V.shape[0], 4))
+            return FactorPair(*cols), np.ones(4)
+
+        monkeypatch.setattr(align_mod, "rank_reveal", too_wide)
+        with pytest.raises(NumericalFailureError, match="rank 4 > bound 3"):
+            lowrank_tame(triangle, triangle, opts=AlignOptions(alpha=1.0, beta=0.0))
 
 
 class TestRankReveal:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import dense_contract, random_motif
-from tenalign import _kernels
 from tenalign.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -134,28 +133,6 @@ class TestImplicit:
             scale = max(np.linalg.norm(ref), 1e-30)
             assert np.linalg.norm(got - ref) / scale <= 1e-12
 
-    def test_kernel_paths_agree(self, rng):
-        # the compiled kernel and the numpy fallback use different summation
-        # orders; they must agree to roundoff
-        import math
-
-        from tenalign._kernels import _implicit_np, _tables
-
-        for _ in range(8):
-            k = int(rng.integers(3, 5))
-            m = int(rng.integers(k, 6))
-            n = int(rng.integers(k, 6))
-            a = random_motif(k, m, rng)
-            b = random_motif(k, n, rng)
-            X = rng.standard_normal((m, n))
-            fast = implicit_kron_ttv(KronPair(a, b), X)
-            perms, rest = _tables(k)
-            slow = _implicit_np(
-                a.hyperedges, a.weights, b.hyperedges, b.weights,
-                X, perms, rest, float(math.factorial(k - 1)), m, n,
-            )
-            assert np.allclose(fast, slow, rtol=1e-12, atol=1e-14)
-
 
 class TestLowRank:
     def test_rank1_special_case(self, triangle, rng):
@@ -203,30 +180,17 @@ class TestLowRank:
         with pytest.raises(DimensionMismatchError):
             lowrank_kron_ttv(pair, rng.standard_normal((3, 2)), rng.standard_normal((3, 3)))
 
-    def test_column_block_paths_agree(self, rng):
-        from tenalign._kernels import _tables, _tuples_np
-
-        k, m, r = 3, 5, 3
-        t = random_motif(k, m, rng)
-        M = rng.standard_normal((m, r))
-        fast = _kernels.ttv_column_block(t.hyperedges, t.weights, M, m, 2, 7)
-        perms, rest = _tables(k)
-        digits = np.stack(
-            np.unravel_index(np.arange(2, 7), (r,) * (k - 1)), axis=1
-        ).astype(np.int64)
-        slow = _tuples_np(t.hyperedges, t.weights, M, rest, perms, digits, np.zeros((m, 5)))
-        assert np.allclose(fast, slow, rtol=1e-12, atol=1e-14)
-
     def test_uses_motif_contraction_per_tuple(self, rng):
         from itertools import product
 
-        from tenalign.tensors import ttv_multi
-
         k, m, r = 4, 5, 2
         t = random_motif(k, m, rng)
+        dense = t.to_dense()
         M = rng.standard_normal((m, r))
         pair = KronPair(t, t)
         ue, _ = lowrank_kron_ttv(pair, M, M)
         for flat, tup in enumerate(product(range(r), repeat=k - 1)):
-            ref = ttv_multi(t, [M[:, c] for c in tup])
+            ref = dense
+            for c in tup:
+                ref = np.tensordot(ref, M[:, c], axes=([0], [0]))
             assert np.allclose(ue[:, flat], ref, rtol=1e-12, atol=1e-12)

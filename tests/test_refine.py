@@ -3,7 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from tenalign import refine
 from tenalign.align import AlignOptions, FactorPair, lambda_tame
+from tenalign.errors import NumericalFailureError
 from tenalign.graphs import Graph, clique_tensor
 from tenalign.matching import Matching, edges_aligned, motifs_aligned
 from tenalign.refine import RefineOptions, knn_embedding_neighbors, local_search
@@ -122,6 +124,19 @@ class TestLocalSearch:
             local_search(
                 Matching(3, 3, [(0, 0)]), g, g, triangle, triangle, factors
             )
+
+
+    def test_monotonicity_guard_raises(self, monkeypatch):
+        # swaps mis-scored as improvements take the optimal identity matching
+        # to a worse one; the final check raises even under python -O
+        g = k4_with_tail()
+        t = clique_tensor(g, 3)
+        mt = Matching(g.n, g.n, [(i, i) for i in range(g.n)])
+        emb = np.random.default_rng(0).standard_normal((g.n, 2))
+        factors = FactorPair(emb, emb.copy())
+        monkeypatch.setattr(refine._SwapState, "swap_delta", lambda self, o: (1, 0))
+        with pytest.raises(NumericalFailureError, match=r"\(4, 8\) -> "):
+            local_search(mt, g, g, t, t, factors, RefineOptions(max_sweeps=1))
 
 
 class TestRefineOptions:

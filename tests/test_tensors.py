@@ -173,6 +173,33 @@ class TestTtvMulti:
             got = ttv_multi(t, xs)
             assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
 
+    def test_bit_identical_to_former_loop(self, rng):
+        # ttv_multi now runs on the shared column kernel; it must keep the
+        # multiplication and accumulation order of its former own loop
+        from itertools import permutations
+
+        def former(t, xs):
+            k = t.order
+            out = np.zeros(t.dim)
+            edges, w = t.hyperedges, t.weights
+            for a in range(k):
+                rest = [c for c in range(k) if c != a]
+                acc = np.zeros(t.nnz)
+                for perm in permutations(range(k - 1)):
+                    term = w.copy()
+                    for s in range(k - 1):
+                        term *= xs[s][edges[:, rest[perm[s]]]]
+                    acc += term
+                np.add.at(out, edges[:, a], acc)
+            return out
+
+        for _ in range(12):
+            k = int(rng.integers(2, 6))
+            n = int(rng.integers(k, 9))
+            t = random_motif(k, n, rng)
+            xs = [rng.standard_normal(n) for _ in range(k - 1)]
+            assert np.array_equal(ttv_multi(t, xs), former(t, xs))
+
 
 class TestDense:
     def test_to_dense_symmetry(self, rng):
