@@ -22,6 +22,8 @@ __all__ = [
     "using_numba",
 ]
 
+IMPLICIT_CHUNK = 4_000_000  # bound on A-rows times B-hyperedges per block
+
 
 def using_numba() -> bool:
     """Always False: the kernels are pure numpy."""
@@ -55,23 +57,36 @@ def implicit_pair_contract(EA, wA, EB, wB, X, m, n):
         return Y
     perms, rest = _tables(k)
     gamma = float(math.factorial(k - 1))
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    XT = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    Y_flat = Y.reshape(-1)
     # chunk the A side so the (chunk, nnz_b) temporaries stay bounded
-    chunk = max(1, 4_000_000 // nnz_b)
+    chunk = max(1, IMPLICIT_CHUNK // nnz_b)
     for lo in range(0, nnz_a, chunk):
         hi = min(lo + chunk, nnz_a)
         ea = EA[lo:hi]
+        # The products are built transposed, (nnz_b, chunk), so each block
+        # X[ea[:, c]][:, EB[:, d]] is a row gather of XA[c] = X[ea[:, c]].T
+        XA = [np.ascontiguousarray(XT[:, ea[:, c]]) for c in range(k)]
         wa = wA[lo:hi]
         for a in range(k):
+            rows = ea[:, a][:, None] * n
             for b in range(k):
-                acc = np.zeros((hi - lo, nnz_b))
+                acc = None
                 for p in perms:
-                    term = np.ones((hi - lo, nnz_b))
-                    for t in range(k - 1):
-                        term *= X[ea[:, rest[a, t]]][:, EB[:, rest[b, p[t]]]]
-                    acc += term
-                acc *= gamma * np.outer(wa, wB)
-                np.add.at(Y, (ea[:, a][:, None], EB[:, b][None, :]), acc)
+                    term = XA[rest[a, 0]][EB[:, rest[b, p[0]]]]
+                    for t in range(1, k - 1):
+                        term *= XA[rest[a, t]][EB[:, rest[b, p[t]]]]
+                    # starting from the first term rather than from zeros can
+                    # only flip the sign of a zero, which adding to Y ignores
+                    acc = term if acc is None else np.add(acc, term, out=acc)
+                vals = np.outer(wa, wB)
+                vals *= gamma
+                np.multiply(acc.T, vals, out=vals)
+                del acc, term  # at most three (chunk, nnz_b) blocks stay live
+                # a flat, row-major scatter adds in the same order as the
+                # (row, column) one, and numpy runs it much faster
+                np.add.at(Y_flat, (rows + EB[:, b]).reshape(-1), vals.reshape(-1))
+                del vals
     return Y
 
 
@@ -92,6 +107,7 @@ def ttv_tuples(E, w, M, dim, digits):
     if nnz == 0 or width == 0:
         return out
     perms, rest = _tables(k)
+    out_flat = out.reshape(-1)
     for a in range(k):
         acc = np.zeros((nnz, width))
         for p in perms:
@@ -99,7 +115,10 @@ def ttv_tuples(E, w, M, dim, digits):
             for t in range(1, k - 1):
                 term = term * M[E[:, rest[a, p[t]]], :][:, digits[:, t]]
             acc += term
-        np.add.at(out, E[:, a], acc)
+        # flat scatter: the same row-major order as np.add.at(out, E[:, a], acc)
+        flat = E[:, a][:, None] * width + np.arange(width)
+        np.add.at(out_flat, flat.reshape(-1), acc.reshape(-1))
+        del flat  # free it before the next slot's products
     return out
 
 

@@ -1,5 +1,13 @@
 """Shared fixtures and random-instance helpers."""
 
+import os
+
+# One BLAS thread per test process: on a busy host a second OpenBLAS thread
+# spin-waits for a core and makes the QR and SVD calls of the low-rank tests
+# several times slower.  Set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from itertools import combinations
 
 import numpy as np

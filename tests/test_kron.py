@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import dense_contract, random_motif
+from tenalign import _kernels
 from tenalign.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -18,6 +21,56 @@ from tenalign.kron import (
     vec,
 )
 from tenalign.tensors import MotifTensor
+
+
+def implicit_oracle(EA, wA, EB, wB, X, m, n, chunk_entries=4_000_000):
+    """The former implicit-contraction loop, kept verbatim as a bitwise oracle."""
+    nnz_a, k = EA.shape
+    nnz_b = EB.shape[0]
+    Y = np.zeros((m, n))
+    if nnz_a == 0 or nnz_b == 0:
+        return Y
+    perms, rest = _kernels._tables(k)
+    gamma = float(math.factorial(k - 1))
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    chunk = max(1, chunk_entries // nnz_b)
+    for lo in range(0, nnz_a, chunk):
+        hi = min(lo + chunk, nnz_a)
+        ea = EA[lo:hi]
+        wa = wA[lo:hi]
+        for a in range(k):
+            for b in range(k):
+                acc = np.zeros((hi - lo, nnz_b))
+                for p in perms:
+                    term = np.ones((hi - lo, nnz_b))
+                    for t in range(k - 1):
+                        term *= X[ea[:, rest[a, t]]][:, EB[:, rest[b, p[t]]]]
+                    acc += term
+                acc *= gamma * np.outer(wa, wB)
+                np.add.at(Y, (ea[:, a][:, None], EB[:, b][None, :]), acc)
+    return Y
+
+
+def column_block_oracle(E, w, M, dim, start, stop):
+    """The former column-block loop, kept verbatim as a bitwise oracle."""
+    nnz, k = E.shape
+    r = M.shape[1]
+    perms, rest = _kernels._tables(k)
+    digits = np.stack(
+        np.unravel_index(np.arange(start, stop), (r,) * (k - 1)), axis=1
+    ).astype(np.int64)
+    out = np.zeros((dim, stop - start))
+    if nnz == 0 or stop == start:
+        return out
+    for a in range(k):
+        acc = np.zeros((nnz, stop - start))
+        for p in perms:
+            term = w[:, None] * M[E[:, rest[a, p[0]]], :][:, digits[:, 0]]
+            for t in range(1, k - 1):
+                term = term * M[E[:, rest[a, p[t]]], :][:, digits[:, t]]
+            acc += term
+        np.add.at(out, E[:, a], acc)
+    return out
 
 
 def diagonal_tensor(dim, order):
@@ -133,8 +186,39 @@ class TestImplicit:
             scale = max(np.linalg.norm(ref), 1e-30)
             assert np.linalg.norm(got - ref) / scale <= 1e-12
 
+    @pytest.mark.parametrize("chunk_entries", [4_000_000, 97])
+    def test_bit_identical_to_former_loop(self, monkeypatch, rng, chunk_entries):
+        # the transposed gathers and the flat scatter keep every product and
+        # every addition of the former loop in order; signed zeros in X probe
+        # the one place the order of operations differs (the first term)
+        monkeypatch.setattr(_kernels, "IMPLICIT_CHUNK", chunk_entries)
+        for k in (2, 3, 4, 5):
+            for m, n in ((k, k + 1), (7, 6), (9, 11)):
+                ta = random_motif(k, m, rng)
+                tb = random_motif(k, n, rng, weighted=k % 2 == 0)
+                X = rng.standard_normal((m, n))
+                X[rng.random((m, n)) < 0.3] = -0.0
+                X[rng.random((m, n)) < 0.1] = 0.0
+                args = (ta.hyperedges, ta.weights, tb.hyperedges, tb.weights, X, m, n)
+                got = _kernels.implicit_pair_contract(*args)
+                ref = implicit_oracle(*args, chunk_entries=chunk_entries)
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
 
 class TestLowRank:
+    def test_column_block_bit_identical_to_former_loop(self, rng):
+        for k in (2, 3, 4, 5):
+            for n, r in ((k, 1), (7, 3), (9, 4)):
+                t = random_motif(k, n, rng, weighted=k != 3)
+                M = rng.standard_normal((n, r))
+                M[rng.random((n, r)) < 0.2] = -0.0
+                total = r ** (k - 1)
+                for start, stop in ((0, total), (total // 3, total), (0, 0)):
+                    args = (t.hyperedges, t.weights, M, n, start, stop)
+                    got = _kernels.ttv_column_block(*args)
+                    ref = column_block_oracle(*args)
+                    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
     def test_rank1_special_case(self, triangle, rng):
         pair = KronPair(triangle, triangle)
         u = rng.standard_normal((3, 1))
