@@ -53,7 +53,7 @@ from .matching import (
     max_weight_matching,
     motifs_aligned,
 )
-from .refine import RefineOptions, knn_embedding_neighbors, local_search
+from .refine import RefineOptions, RefineStats, knn_embedding_neighbors, local_search
 from .synth import AlignmentProblem, duplication_noise, er_noise, make_problem, permute, rgg
 from .tensors import MotifTensor, load_tensor, save_tensor, ttv_multi, ttv_same
 

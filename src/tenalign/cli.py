@@ -17,6 +17,7 @@ import argparse
 import sys
 import time
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .eigen import random_symmetric_tensor, verify_decoupling
 from .errors import TenalignError
 from .graphs import Graph, clique_tensor, load_edge_list, save_edge_list
 from .matching import accuracy, edges_aligned, motifs_aligned
-from .refine import RefineOptions, local_search
+from .refine import RefineOptions, RefineStats, local_search
 from .synth import make_problem
 
 METHODS = ("tame", "lowrank-tame", "lambda-tame")
@@ -155,16 +156,19 @@ def _align_once(graph_a, graph_b, truth, args, method, refine, seed):
     matching = output.best_matching
     refine_seconds = 0.0
     resolved_k = None
+    counters = dict.fromkeys(("sweeps", "candidates_scored", "swaps_accepted"))
     if refine == "local-search":
         factors = _embedding_factors(output)
         knn = args.knn if args.knn == "auto" else int(args.knn)
         ropts = RefineOptions(k_neighbors=knn, max_sweeps=args.sweeps)
         resolved_k = ropts.resolve_k(factors.rank)
+        stats = RefineStats()
         t0 = time.perf_counter()
         matching = local_search(
-            matching, graph_a, graph_b, tensor_a, tensor_b, factors, ropts
+            matching, graph_a, graph_b, tensor_a, tensor_b, factors, ropts, stats=stats
         )
         refine_seconds = time.perf_counter() - t0
+        counters = asdict(stats)
     final = {
         "best_index": output.best_index,
         "best_score": output.best_score,
@@ -186,6 +190,7 @@ def _align_once(graph_a, graph_b, truth, args, method, refine, seed):
             "k_neighbors": args.knn,
             "resolved_k": resolved_k,
             "max_sweeps": args.sweeps,
+            **counters,
         },
         "options": {
             "alpha": args.alpha,

@@ -76,22 +76,18 @@ class Graph:
     @cached_property
     def adjacency(self) -> list:
         """Sorted neighbor array per vertex."""
-        neigh = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            neigh[u].append(v)
-            neigh[v].append(u)
-        return [np.asarray(sorted(a), dtype=np.int64) for a in neigh]
+        u, v = self.edges.T
+        ends, neigh = np.concatenate((u, v)), np.concatenate((v, u))
+        neigh = neigh[np.lexsort((neigh, ends))]
+        neigh.setflags(write=False)
+        return np.split(neigh, np.cumsum(self.degree())[:-1]) if self.n else []
 
     @cached_property
     def edge_set(self) -> frozenset:
         return frozenset(map(tuple, self.edges.tolist()))
 
     def degree(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64, copy=False)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edge_set

@@ -7,6 +7,13 @@ the first swap whose (motifs aligned, edges aligned) score improves
 lexicographically, exchanging partners when the candidate is already
 matched.  Scores never regress and each accepted swap strictly improves the
 lexicographic score, so termination is guaranteed.
+
+The scoring is array-based.  Every A hyperedge and edge carries a flag
+saying whether its image under the matching is a B row; the B rows are a
+hash set of exact int64 codes of their sorted tuples.  All candidate swaps
+on one side of a pair are scored in one vectorized pass over the rows they
+touch, so the first improvement in candidate order is the same one a
+candidate-by-candidate loop finds.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .graphs import Graph, nearest_rows
 from .matching import Matching
 from .tensors import MotifTensor
 
-__all__ = ["RefineOptions", "knn_embedding_neighbors", "local_search"]
+__all__ = ["RefineOptions", "RefineStats", "knn_embedding_neighbors", "local_search"]
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,20 @@ class RefineOptions:
         return k
 
 
+@dataclass
+class RefineStats:
+    """Work counters of one :func:`local_search` call.
+
+    ``candidates_scored`` counts, per scored side of a pair, the candidates
+    up to and including the accepted one in candidate order, so it does not
+    depend on how the candidates are batched.
+    """
+
+    sweeps: int = 0
+    candidates_scored: int = 0
+    swaps_accepted: int = 0
+
+
 def knn_embedding_neighbors(F: np.ndarray, row: int, k: int) -> np.ndarray:
     """Indices of the ``k`` rows of ``F`` closest to ``F[row]`` (self excluded).
 
@@ -51,119 +72,211 @@ def knn_embedding_neighbors(F: np.ndarray, row: int, k: int) -> np.ndarray:
     return nearest_rows(F, [row], k)[0]
 
 
-class _SwapState:
-    """Incrementally scored matching over the A-side hyperedges and edges.
+KEY_LIMIT = np.iinfo(np.int64).max  # bound on row codes; a test lowers it
+_EMPTY = np.iinfo(np.int64).min  # below every code: marks a free hash slot
+_MASK = (1 << 64) - 1
 
-    Everything the inner candidate loop touches is a plain Python structure;
-    per-element numpy indexing is far too slow at this call density.
+
+class _CodeSet:
+    """Exact set of int64 codes with vectorized lookup (cuckoo hashing).
+
+    Each code sits in one of two slots, picked by two multiplicative
+    hashes, so a lookup is two gathers and two compares, with no search.
+    ``find`` gives ``1 +`` the slot holding a code, or 0 when absent.
     """
 
-    def __init__(self, matching, graph_a, graph_b, tensor_a, tensor_b):
-        self.m, self.n = graph_a.n, graph_b.n
-        self.match_a = [-1] * self.m
-        self.match_b = [-1] * self.n
-        for i, j in matching.pairs:
-            self.match_a[i] = j
-            self.match_b[j] = i
-        self.hyper_rows = [tuple(row) for row in tensor_a.hyperedges.tolist()]
-        self.b_hyper = {tuple(row) for row in tensor_b.hyperedges.tolist()}
-        indptr, ids = tensor_a.incidence
-        self.h_inc = [
-            ids[indptr[v]:indptr[v + 1]].tolist() for v in range(self.m)
+    def __init__(self, codes: np.ndarray):
+        rng = np.random.default_rng(0x7E4A)
+        bits = max(2, int(codes.size).bit_length())
+        codes = codes.tolist()
+        while True:
+            mults = [int(m) | 1 for m in rng.integers(1 << 62, 1 << 63, size=2)]
+            table = self._place(codes, bits, mults)
+            if table is not None:
+                break
+            bits += 1
+        self.size = 1 << bits
+        self.shift = np.uint64(64 - bits)
+        self.mults = [np.uint64(m) for m in mults]
+        self.table = np.array(table, dtype=np.int64)
+
+    @staticmethod
+    def _place(codes, bits, mults):
+        size, shift = 1 << bits, 64 - bits
+        table = [int(_EMPTY)] * (2 * size)
+        for code in codes:
+            for kick in range(4 * bits):
+                side = kick & 1
+                slot = side * size + (((code & _MASK) * mults[side] & _MASK) >> shift)
+                code, table[slot] = table[slot], code
+                if code == _EMPTY:
+                    break
+            else:
+                return None
+        return table
+
+    def _slots(self, code):
+        key = code.view(np.uint64)
+        return (key * self.mults[0]) >> self.shift, ((key * self.mults[1]) >> self.shift) + self.size
+
+    def contains(self, code: np.ndarray) -> np.ndarray:
+        first, second = self._slots(code)
+        return (self.table[first] == code) | (self.table[second] == code)
+
+    def find(self, code: np.ndarray) -> np.ndarray:
+        first, second = self._slots(code)
+        return np.where(
+            self.table[first] == code,
+            first + 1,
+            np.where(self.table[second] == code, second + 1, 0),
+        ).astype(np.int64)
+
+
+class _RowCodes:
+    """Exact int64 codes of sorted vertex rows, and the set of B's codes.
+
+    A row ``(t_0, ..., t_{k-1})`` of ids in ``[-1, base - 1)`` is folded as
+    base-``base`` digits, which is injective; ``-1`` (unmatched) is a digit
+    no B row has, so rows with an unmatched vertex never match.  Where the
+    next fold could pass ``KEY_LIMIT``, the prefix codes are first replaced
+    by their 1-based slot among B's distinct prefixes (0 when B lacks one),
+    which keeps the codes exact at any size.
+    """
+
+    def __init__(self, rows_b: np.ndarray, base: int):
+        self.base = base
+        self.tables = []
+        cols = rows_b.T
+        code, top = cols[0], base
+        for col in cols[1:]:
+            table = None
+            if top * base + base > KEY_LIMIT:
+                table = _CodeSet(np.unique(code))
+                code = table.find(code)
+                top = 2 * table.size
+            self.tables.append(table)
+            code = code * base + col
+            top = top * base + base
+        self.keys = _CodeSet(np.unique(code))
+
+    def contains(self, cols: list) -> np.ndarray:
+        """Whether each sorted row, given as ``k`` columns, is a row of B."""
+        code = cols[0]
+        for table, col in zip(self.tables, cols[1:]):
+            if table is not None:
+                code = table.find(code)
+            code = code * self.base + col
+        return self.keys.contains(code)
+
+
+class _Layer:
+    """The A rows of one kind (hyperedges or edges) scored against B.
+
+    ``match_a`` is the matching, shared with and updated by the owning
+    state.  ``cols`` holds the ``k`` columns of A's rows as separate arrays,
+    since 1-D gathers are several times faster than 2-D ones.  ``ok[e]`` is
+    1.0 when A row ``e`` maps onto a B row under the matching, else 0.0.
+    """
+
+    def __init__(self, tensor_a: MotifTensor, rows_b: np.ndarray, base: int, match_a):
+        self.match_a = match_a
+        self.cols = list(tensor_a.hyperedges.T.copy())
+        indptr, self.ids = tensor_a.incidence
+        # one trailing zero-length entry, so that vertex -1 has no rows
+        self.start = np.append(indptr[:-1], 0)
+        self.count = np.append(np.diff(indptr), 0)
+        self.marked = np.zeros(tensor_a.nnz, dtype=bool)
+        self.codes = _RowCodes(rows_b, base)
+        self.network = [
+            (a, a + 1) for top in range(tensor_a.order - 1, 0, -1) for a in range(top)
         ]
-        self.a_edge_rows = [tuple(row) for row in graph_a.edges.tolist()]
-        self.b_edges = graph_b.edge_set
-        self.e_inc = [[] for _ in range(self.m)]
-        for eid, (u, v) in enumerate(self.a_edge_rows):
-            self.e_inc[u].append(eid)
-            self.e_inc[v].append(eid)
-        self.h_ok = [self._hyper_ok(e, None) for e in range(len(self.hyper_rows))]
-        self.e_ok = [self._edge_ok(e, None) for e in range(len(self.a_edge_rows))]
-        self.motifs = sum(self.h_ok)
-        self.edges = sum(self.e_ok)
+        self.ok = self.row_ok([match_a[col] for col in self.cols]).astype(np.float64)
 
-    def _hyper_ok(self, eid: int, override) -> bool:
-        ma = self.match_a
-        img = []
-        if override:
-            for v in self.hyper_rows[eid]:
-                t = override.get(v)
-                if t is None:
-                    t = ma[v]
-                if t < 0:
-                    return False
-                img.append(t)
-        else:
-            for v in self.hyper_rows[eid]:
-                t = ma[v]
-                if t < 0:
-                    return False
-                img.append(t)
-        img.sort()
-        return tuple(img) in self.b_hyper
+    def row_ok(self, images: list) -> np.ndarray:
+        """Whether each row of ``images`` (``k`` columns of B ids) is a B row."""
+        for a, b in self.network:  # compare-exchange sort of each row
+            images[a], images[b] = (
+                np.minimum(images[a], images[b]), np.maximum(images[a], images[b])
+            )
+        return self.codes.contains(images)
 
-    def _edge_ok(self, eid: int, override) -> bool:
-        u, v = self.a_edge_rows[eid]
-        ma = self.match_a
-        if override:
-            iu = override.get(u)
-            if iu is None:
-                iu = ma[u]
-            iv = override.get(v)
-            if iv is None:
-                iv = ma[v]
-        else:
-            iu, iv = ma[u], ma[v]
-        if iu < 0 or iv < 0:
-            return False
-        key = (iu, iv) if iu < iv else (iv, iu)
-        return key in self.b_edges
+    def incident(self, v: int) -> np.ndarray:
+        return self.ids[self.start[v]:self.start[v] + self.count[v]]
 
-    def swap_delta(self, override) -> tuple:
-        """(d_motifs, d_edges) of remapping the override's A-vertices."""
-        verts = list(override)
-        if len(verts) == 1:
-            h_ids = self.h_inc[verts[0]]
-            e_ids = self.e_inc[verts[0]]
-        else:
-            h_ids = set()
-            e_ids = set()
-            for v in verts:
-                h_ids.update(self.h_inc[v])
-                e_ids.update(self.e_inc[v])
-        h_ok, e_ok = self.h_ok, self.e_ok
-        dm = 0
-        for e in h_ids:
-            dm += self._hyper_ok(e, override) - h_ok[e]
-        de = 0
-        for e in e_ids:
-            de += self._edge_ok(e, override) - e_ok[e]
-        return dm, de
+    def deltas(self, i, ip, x, j) -> np.ndarray:
+        """Change in matched rows of each candidate swap ``c``.
 
-    def apply(self, override) -> None:
-        affected_b = set()
-        for v, target in override.items():
-            old = self.match_a[v]
-            if old >= 0:
-                affected_b.add(old)
-            self.match_a[v] = target
-            if target >= 0:
-                affected_b.add(target)
-        for b in affected_b:
-            self.match_b[b] = -1
-        for v in override:
-            t = self.match_a[v]
-            if t >= 0:
-                self.match_b[t] = v
-        for v in override:
-            for e in self.h_inc[v]:
-                ok = self._hyper_ok(e, None)
-                self.motifs += ok - self.h_ok[e]
-                self.h_ok[e] = ok
-            for e in self.e_inc[v]:
-                ok = self._edge_ok(e, None)
-                self.edges += ok - self.e_ok[e]
-                self.e_ok[e] = ok
+        Candidate ``c`` maps ``i`` to ``x[c]`` and, when ``j[c] >= 0``,
+        ``j[c]`` to ``ip``.  Its affected rows are those of ``i`` plus those
+        of ``j[c]`` that do not contain ``i``.
+        """
+        size = x.size
+        own = self.incident(i)
+        counts = self.count[j]
+        ends = np.cumsum(counts)
+        other = self.ids[
+            np.arange(ends[-1]) + np.repeat(self.start[j] - ends + counts, counts)
+        ]
+        # a row holding both i and j[c] is already among the rows of i
+        self.marked[own] = True
+        keep = ~self.marked[other]
+        self.marked[own] = False
+        cand = np.concatenate(
+            (np.repeat(np.arange(size), own.size), np.repeat(np.arange(size), counts)[keep])
+        )
+        rows = np.concatenate((np.tile(own, size), other[keep]))
+        x, j = x[cand], j[cand]
+        images = []
+        for col in self.cols:
+            verts = col[rows]
+            image = np.where(verts == i, x, self.match_a[verts])
+            images.append(np.where(verts == j, ip, image))
+        diff = self.row_ok(images) - self.ok[rows]
+        return np.bincount(cand, weights=diff, minlength=size)
+
+    def refresh(self, movers) -> int:
+        """Re-score the rows of ``movers`` after a swap; return the change."""
+        rows = np.unique(np.concatenate([self.incident(v) for v in movers]))
+        new = self.row_ok([self.match_a[col[rows]] for col in self.cols])
+        gain = int(np.sum(new - self.ok[rows]))
+        self.ok[rows] = new
+        return gain
+
+
+class _SwapState:
+    """The matching as arrays, with the A hyperedges and edges it aligns."""
+
+    def __init__(self, matching, graph_a, graph_b, tensor_a, tensor_b):
+        pairs = np.array(matching.pairs, dtype=np.int64).reshape(-1, 2)
+        self.match_a = np.full(graph_a.n, -1, dtype=np.int64)
+        self.match_b = np.full(graph_b.n, -1, dtype=np.int64)
+        self.match_a[pairs[:, 0]] = pairs[:, 1]
+        self.match_b[pairs[:, 1]] = pairs[:, 0]
+        # graph A's edges as an order-2 tensor, for the same incidence form
+        edges_a = MotifTensor(2, graph_a.n, graph_a.edges, np.ones(graph_a.num_edges))
+        self.layers = (
+            _Layer(tensor_a, tensor_b.hyperedges, graph_b.n + 1, self.match_a),
+            _Layer(edges_a, graph_b.edges, graph_b.n + 1, self.match_a),
+        )
+        self.motifs = int(self.layers[0].ok.sum())
+        self.edges = int(self.layers[1].ok.sum())
+
+    def score(self, i, ip, x, j) -> tuple:
+        """(d_motifs, d_edges) per candidate swap; see :meth:`_Layer.deltas`."""
+        return tuple(layer.deltas(i, ip, x, j) for layer in self.layers)
+
+    def apply(self, i, ip, x, j) -> None:
+        """Map ``i`` to ``x`` and ``j`` (if ``>= 0``) to ``ip``."""
+        self.match_a[i] = x
+        if x >= 0:
+            self.match_b[x] = i
+        if j >= 0:
+            self.match_a[j] = ip
+        self.match_b[ip] = j
+        movers = (i, j) if j >= 0 else (i,)
+        hyper, edge = self.layers
+        self.motifs += hyper.refresh(movers)
+        self.edges += edge.refresh(movers)
 
 
 def local_search(
@@ -174,6 +287,7 @@ def local_search(
     tensor_b: MotifTensor,
     factors: FactorPair,
     opts: RefineOptions = RefineOptions(),
+    stats: RefineStats | None = None,
 ) -> Matching:
     """Greedy swap refinement; output never scores below the input.
 
@@ -182,32 +296,42 @@ def local_search(
     applied immediately when it strictly increases motifs aligned, or keeps
     motifs while strictly increasing edges aligned; when the candidate is
     already matched the two pairs exchange partners and the combined effect
-    is scored.  Sweeps repeat until no change or ``max_sweeps``.
+    is scored.  Sweeps repeat until no change or ``max_sweeps``.  All
+    candidates on one side of a pair are scored in one vectorized pass, and
+    the first improving one in candidate order is applied.  ``stats``, when
+    given, receives the work counters.
     """
+    if stats is None:
+        stats = RefineStats()
     if len(matching) == 0:
         return matching
     if factors.u.shape[0] != graph_a.n or factors.v.shape[0] != graph_b.n:
         raise ValueError("factor rows must match graph sizes")
+    if tensor_a.dim != graph_a.n or tensor_b.dim != graph_b.n:
+        raise ValueError("tensor dimensions must match graph sizes")
+    if tensor_a.order != tensor_b.order:
+        raise ValueError("tensors must have equal order")
     state = _SwapState(matching, graph_a, graph_b, tensor_a, tensor_b)
     start_score = (state.motifs, state.edges)
     k_a = min(opts.resolve_k(factors.rank), graph_a.n - 1)
     k_b = min(opts.resolve_k(factors.rank), graph_b.n - 1)
     knn_a = nearest_rows(factors.u, np.arange(graph_a.n), k_a) if k_a >= 1 else None
     knn_b = nearest_rows(factors.v, np.arange(graph_b.n), k_b) if k_b >= 1 else None
-    adj_a, adj_b = graph_a.adjacency, graph_b.adjacency
+    cands_a = _candidate_lists(knn_a, graph_a.adjacency)
+    cands_b = _candidate_lists(knn_b, graph_b.adjacency)
+    ma = state.match_a
 
     for _ in range(opts.max_sweeps):
-        ma = np.asarray(state.match_a)
+        stats.sweeps += 1
         rows = np.nonzero(ma >= 0)[0]
         weights = np.einsum("ij,ij->i", factors.u[rows], factors.v[ma[rows]])
         order = np.lexsort((rows, -weights))
         changed = False
-        for i in rows[order]:
-            i = int(i)
-            ip = state.match_a[i]
+        for i in rows[order].tolist():
+            ip = int(ma[i])
             if ip < 0:
                 continue
-            if _improve_pair(state, i, ip, knn_a, knn_b, adj_a, adj_b):
+            if _improve_pair(state, stats, i, ip, cands_a[i], cands_b[ip]):
                 changed = True
         if not changed:
             break
@@ -217,47 +341,47 @@ def local_search(
             f"refinement lowered the (motifs, edges) score: "
             f"{start_score} -> {(state.motifs, state.edges)}"
         )
-    pairs = [
-        (i, state.match_a[i]) for i in range(graph_a.n) if state.match_a[i] >= 0
-    ]
+    pairs = [(i, int(ma[i])) for i in np.nonzero(ma >= 0)[0].tolist()]
     weight = float(
         sum(np.dot(factors.u[i], factors.v[j]) for i, j in pairs)
     )
     return Matching(graph_a.n, graph_b.n, pairs, weight)
 
 
-def _improve_pair(state, i, ip, knn_a, knn_b, adj_a, adj_b) -> bool:
-    """Try candidate swaps for matched pair (i, ip); apply the first improvement."""
-    seen = set()
-    candidates_b = []
-    if knn_b is not None:
-        candidates_b.extend(int(j) for j in knn_b[ip])
-    candidates_b.extend(int(j) for j in adj_b[ip])
-    for jp in candidates_b:
-        if jp == ip or jp in seen:
-            continue
-        seen.add(jp)
-        j = state.match_b[jp]
-        override = {i: jp}
-        if j >= 0:
-            override[j] = ip
-        dm, de = state.swap_delta(override)
-        if dm > 0 or (dm == 0 and de > 0):
-            state.apply(override)
-            return True
-    seen = set()
-    candidates_a = []
-    if knn_a is not None:
-        candidates_a.extend(int(j) for j in knn_a[i])
-    candidates_a.extend(int(j) for j in adj_a[i])
-    for j in candidates_a:
-        if j == i or j in seen:
-            continue
-        seen.add(j)
-        jp = state.match_a[j]
-        override = {j: ip, i: jp}
-        dm, de = state.swap_delta(override)
-        if dm > 0 or (dm == 0 and de > 0):
-            state.apply(override)
-            return True
-    return False
+def _candidate_lists(knn, adj) -> list:
+    """Per vertex: its kNN rows, then its graph neighbors, each once, self excluded."""
+    out = []
+    for v, neigh in enumerate(adj):
+        cands = neigh if knn is None else np.concatenate((knn[v], neigh))
+        cands = cands[cands != v]
+        _, first = np.unique(cands, return_index=True)
+        out.append(cands[np.sort(first)])
+    return out
+
+
+def _improve_pair(state, stats, i, ip, cands_a, cands_b) -> bool:
+    """Apply the first improving swap for matched pair (i, ip), B side first.
+
+    A B-side candidate ``jp`` maps ``i`` to ``jp`` and the A vertex matched
+    to ``jp``, if any, to ``ip``; an A-side candidate ``j`` exchanges the
+    partners of ``i`` and ``j``.
+    """
+    return _apply_first(state, stats, i, ip, cands_b, state.match_b[cands_b]) or (
+        _apply_first(state, stats, i, ip, state.match_a[cands_a], cands_a)
+    )
+
+
+def _apply_first(state, stats, i, ip, x, j) -> bool:
+    """Score the swaps ``i -> x[c], j[c] -> ip``; apply the first improving one."""
+    if x.size == 0:
+        return False
+    dm, de = state.score(i, ip, x, j)
+    better = np.flatnonzero((dm > 0) | ((dm == 0) & (de > 0)))
+    if better.size == 0:
+        stats.candidates_scored += x.size
+        return False
+    c = int(better[0])
+    stats.candidates_scored += c + 1
+    stats.swaps_accepted += 1
+    state.apply(i, ip, int(x[c]), int(j[c]))
+    return True

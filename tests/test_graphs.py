@@ -45,6 +45,25 @@ class TestGraph:
         assert g.adjacency[0].tolist() == [1, 2]
         assert g.degree().tolist() == [2, 1, 2, 1]
 
+    @pytest.mark.parametrize(
+        "n,p,seed", [(0, 0.0, 0), (1, 0.0, 0), (7, 0.0, 1), (30, 0.2, 2), (200, 0.05, 3)]
+    )
+    def test_adjacency_and_degree_equal_former_loops(self, n, p, seed):
+        g = random_graph(n, p, np.random.default_rng(seed))
+        neigh = [[] for _ in range(n)]
+        deg = np.zeros(n, dtype=np.int64)
+        for u, v in g.edges:
+            neigh[u].append(v)
+            neigh[v].append(u)
+            deg[u] += 1
+            deg[v] += 1
+        want = [np.asarray(sorted(a), dtype=np.int64) for a in neigh]
+        assert len(g.adjacency) == n
+        for got, ref in zip(g.adjacency, want):
+            assert got.dtype == np.int64 and got.tolist() == ref.tolist()
+        assert g.degree().dtype == np.int64
+        assert g.degree().tolist() == deg.tolist()
+
 
 class TestEnumeration:
     def test_single_triangle(self):

@@ -1,4 +1,5 @@
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tenalign.records import (
     strip_timing,
     write_records,
 )
+from tenalign.refine import local_search
 from tenalign.synth import make_problem
 
 
@@ -107,6 +109,43 @@ class TestAlignCommand:
         assert len(record["per_iteration"]) == 15
         matching = load_matching(match_out)
         assert len(matching) > 0
+
+    def test_refine_counters_in_record(self, problem_files, tmp_path, monkeypatch):
+        from tenalign import cli
+
+        seen = []
+
+        def spy(*args, stats=None, **kwargs):
+            out = local_search(*args, stats=stats, **kwargs)
+            seen.append(stats)
+            return out
+
+        monkeypatch.setattr(cli, "local_search", spy)
+        common = [
+            "align",
+            "--graph-a", problem_files["a"],
+            "--graph-b", problem_files["b"],
+            "--method", "lambda-tame",
+            "--alpha", "0.5",
+            "--beta", "1",
+            "--sweeps", "4",
+        ]
+        refined, plain = str(tmp_path / "refined.json"), str(tmp_path / "plain.json")
+        assert main(common + ["--refine", "local-search", "--out", refined]) == 0
+        assert main(common + ["--out", plain]) == 0
+        (record,) = load_records(refined)
+        (stats,) = seen
+        counters = {
+            key: record["refine"][key]
+            for key in ("sweeps", "candidates_scored", "swaps_accepted")
+        }
+        assert counters == asdict(stats)
+        assert 1 <= stats.sweeps <= 4
+        assert 0 < stats.swaps_accepted <= stats.candidates_scored
+        (record,) = load_records(plain)
+        assert record["refine"]["sweeps"] is None
+        assert record["refine"]["candidates_scored"] is None
+        assert record["refine"]["swaps_accepted"] is None
 
     def test_missing_file_is_clean_failure(self, problem_files, tmp_path, capsys):
         out = str(tmp_path / "never.json")

@@ -126,6 +126,17 @@ class TestLocalSearch:
             )
 
 
+    def test_tensor_shapes_validated(self, triangle):
+        g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        factors = FactorPair(np.ones((3, 1)), np.ones((3, 1)))
+        mt = Matching(3, 3, [(0, 0)])
+        big = clique_tensor(k4_with_tail(), 3)
+        with pytest.raises(ValueError, match="dimensions"):
+            local_search(mt, g, g, triangle, big, factors)
+        edges = clique_tensor(g, 2)
+        with pytest.raises(ValueError, match="order"):
+            local_search(mt, g, g, triangle, edges, factors)
+
     def test_monotonicity_guard_raises(self, monkeypatch):
         # swaps mis-scored as improvements take the optimal identity matching
         # to a worse one; the final check raises even under python -O
@@ -134,7 +145,11 @@ class TestLocalSearch:
         mt = Matching(g.n, g.n, [(i, i) for i in range(g.n)])
         emb = np.random.default_rng(0).standard_normal((g.n, 2))
         factors = FactorPair(emb, emb.copy())
-        monkeypatch.setattr(refine._SwapState, "swap_delta", lambda self, o: (1, 0))
+        monkeypatch.setattr(
+            refine._SwapState,
+            "score",
+            lambda self, i, ip, x, j: (np.ones(x.size), np.zeros(x.size)),
+        )
         with pytest.raises(NumericalFailureError, match=r"\(4, 8\) -> "):
             local_search(mt, g, g, t, t, factors, RefineOptions(max_sweeps=1))
 
