@@ -10,8 +10,8 @@ the (implicit) product tensor of the motif adjacency tensors:
   each iteration expands the factor columns through the decoupled
   contraction, applies the affine shift as scaled factor blocks, and
   re-truncates with a rank-revealing factorization.  When the column
-  expansion exceeds the configured cap the iterate is accumulated densely
-  from column batches instead.
+  expansion ``r^{k-1}`` exceeds ``kron.COLUMN_CAP`` the iterate is
+  accumulated densely from column batches instead.
 * ``lambda_tame``: one independent power sequence per tensor; the collected
   columns embed both vertex sets and the product of the factor matrices is
   matched once at the end.
@@ -28,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kron
 from .errors import (
     DegenerateIterateError,
     DegenerateProblemError,
     NumericalFailureError,
 )
 from .kron import (
-    DEFAULT_COLUMN_CAP,
     KronPair,
     expand_column_block,
     implicit_kron_ttv,
@@ -75,7 +75,6 @@ class AlignOptions:
     max_iter: int = 15
     tol: float = 1e-6
     match_every: bool | None = None
-    column_cap: int = DEFAULT_COLUMN_CAP
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -190,6 +189,20 @@ class _BestTracker:
             self.payload = payload
 
 
+def _dense_step(x_hat, X, X0, opts: AlignOptions, ell: int):
+    """Rayleigh estimate ``trace(X^T Xhat)`` and the remixed, renormalized
+    dense iterate ``alpha * Xhat + alpha * beta * X + (1 - alpha) * X_0``."""
+    lam = float(np.sum(X * x_hat))
+    if not np.isfinite(lam):
+        raise NumericalFailureError("non-finite eigenvalue estimate")
+    x_new = opts.alpha * x_hat + (opts.alpha * opts.beta) * X + (1.0 - opts.alpha) * X0
+    norm = np.linalg.norm(x_new)
+    if norm == 0 or not np.isfinite(norm):
+        raise DegenerateIterateError(f"degenerate iterate at iteration {ell}")
+    x_new /= norm
+    return lam, x_new
+
+
 def tame(
     tensor_a: MotifTensor,
     tensor_b: MotifTensor,
@@ -227,14 +240,7 @@ def tame(
         t0 = time.perf_counter()
         x_hat = implicit_kron_ttv(pair, X)
         t_contract = time.perf_counter() - t0
-        lam = float(np.sum(X * x_hat))
-        if not np.isfinite(lam):
-            raise NumericalFailureError("non-finite eigenvalue estimate")
-        x_new = opts.alpha * x_hat + (opts.alpha * opts.beta) * X + (1.0 - opts.alpha) * X0
-        norm = np.linalg.norm(x_new)
-        if norm == 0 or not np.isfinite(norm):
-            raise DegenerateIterateError(f"degenerate iterate at iteration {ell}")
-        x_new /= norm
+        lam, x_new = _dense_step(x_hat, X, X0, opts, ell)
         matching = score = None
         t_match = 0.0
         if match_every:
@@ -338,12 +344,13 @@ def lowrank_tame(
     """Exact low-rank form of :func:`tame`; identical iterates in exact arithmetic.
 
     The iterate is kept as factors ``U_l V_l^T``.  While the expansion
-    ``r^{k-1}`` fits under ``column_cap``, the next iterate's columns come
+    ``r^{k-1}`` fits under ``kron.COLUMN_CAP``, the next iterate's columns come
     from the decoupled contraction and the affine shift concatenates factor
     blocks scaled by ``sqrt(alpha)``, ``sqrt(alpha * beta)`` and
     ``sqrt(1 - alpha)`` before a rank-revealing truncation.  Above the cap
-    the contraction result is accumulated densely from column batches and
-    re-factored by SVD (the wide-factor regime).
+    the contraction result is accumulated densely from column batches,
+    remixed and renormalized exactly as in :func:`tame`, and re-factored by
+    SVD (the wide-factor regime).
     """
     _require_nonempty(tensor_a, tensor_b)
     if opts.max_iter < 1:
@@ -361,7 +368,6 @@ def lowrank_tame(
         raise DegenerateProblemError("prior matrix must be nonzero")
     match_every = _resolve_match_every(opts, "lowrank-tame")
     x0 = _normalized(weight_factors)
-    x0_dense: np.ndarray | None = None
     current = x0
     lam_prev = np.inf
     stats: list[IterationStats] = []
@@ -370,10 +376,10 @@ def lowrank_tame(
     converged = False
     for ell in range(1, opts.max_iter + 1):
         r = current.rank
-        if r ** (k - 1) <= opts.column_cap:
+        if r ** (k - 1) <= kron.COLUMN_CAP:
             path = "expand"
             t0 = time.perf_counter()
-            u_exp, v_exp = lowrank_kron_ttv(pair, current.u, current.v, opts.column_cap)
+            u_exp, v_exp = lowrank_kron_ttv(pair, current.u, current.v)
             t_contract = time.perf_counter() - t0
             lam = _lam_estimate(current, u_exp, v_exp)
             u_blocks = [math.sqrt(opts.alpha) * u_exp]
@@ -391,19 +397,7 @@ def lowrank_tame(
             t0 = time.perf_counter()
             x_hat = _accumulated_contraction(pair, current)
             t_contract = time.perf_counter() - t0
-            prev_dense = current.dense()
-            lam = float(np.sum(prev_dense * x_hat))
-            if x0_dense is None:
-                x0_dense = x0.dense()
-            x_new = (
-                opts.alpha * x_hat
-                + (opts.alpha * opts.beta) * prev_dense
-                + (1.0 - opts.alpha) * x0_dense
-            )
-            norm = np.linalg.norm(x_new)
-            if norm == 0 or not np.isfinite(norm):
-                raise DegenerateIterateError(f"degenerate iterate at iteration {ell}")
-            x_new /= norm
+            lam, x_new = _dense_step(x_hat, current.dense(), x0.dense(), opts, ell)
             new_factors, sigma = truncated_svd(x_new)
         sigma_ratio = float(sigma[1] / sigma[0]) if sigma.size > 1 else 0.0
         if not np.isfinite(lam):

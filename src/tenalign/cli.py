@@ -21,6 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import kron
 from . import records as rec
 from .align import AlignOptions, FactorPair, lambda_tame, lowrank_tame, tame, truncated_svd
 from .eigen import random_symmetric_tensor, verify_decoupling
@@ -44,7 +45,6 @@ def _add_align_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--refine", choices=REFINES, default="none")
     p.add_argument("--knn", default="auto", help="neighbor count or 'auto'")
     p.add_argument("--sweeps", type=int, default=10, help="max refinement sweeps")
-    p.add_argument("--column-cap", type=int, default=10_000)
     p.add_argument("--match-every", choices=("auto", "always", "final"), default="auto")
     p.add_argument(
         "--fallback-edges",
@@ -123,7 +123,6 @@ def _align_opts(args) -> AlignOptions:
         max_iter=args.iters,
         tol=args.tol,
         match_every=match_every,
-        column_cap=args.column_cap,
     )
 
 
@@ -146,6 +145,8 @@ def _run_method(method, tensor_a, tensor_b, opts):
 
 def _align_once(graph_a, graph_b, truth, args, method, refine, seed):
     t_start = time.perf_counter()
+    knn = args.knn if args.knn == "auto" else int(args.knn)
+    ropts = RefineOptions(k_neighbors=knn, max_sweeps=args.sweeps)
     t0 = time.perf_counter()
     tensor_a, tensor_b, k = _tensors_for(graph_a, graph_b, args)
     tensor_seconds = time.perf_counter() - t0
@@ -159,8 +160,6 @@ def _align_once(graph_a, graph_b, truth, args, method, refine, seed):
     counters = dict.fromkeys(("sweeps", "candidates_scored", "swaps_accepted"))
     if refine == "local-search":
         factors = _embedding_factors(output)
-        knn = args.knn if args.knn == "auto" else int(args.knn)
-        ropts = RefineOptions(k_neighbors=knn, max_sweeps=args.sweeps)
         resolved_k = ropts.resolve_k(factors.rank)
         stats = RefineStats()
         t0 = time.perf_counter()
@@ -197,7 +196,7 @@ def _align_once(graph_a, graph_b, truth, args, method, refine, seed):
             "beta": args.beta,
             "max_iter": args.iters,
             "tol": args.tol,
-            "column_cap": args.column_cap,
+            "column_cap": kron.COLUMN_CAP,
             "match_every": args.match_every,
         },
         "problem": {
@@ -245,6 +244,10 @@ def cmd_eigcheck(args) -> int:
     orders = [int(o) for o in args.orders.split(",") if o]
     if not dims or not orders:
         raise TenalignError("--dims and --orders must be nonempty")
+    if min(dims) < 1:
+        raise TenalignError(f"--dims entries must be >= 1, got {min(dims)}")
+    if min(orders) < 2:
+        raise TenalignError(f"--orders entries must be >= 2, got {min(orders)}")
     out_records = []
     root = np.random.SeedSequence(args.seed)
     for trial, child in enumerate(root.spawn(max(args.trials, 0))):

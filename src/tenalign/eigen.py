@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DegenerateIterateError
 from .kron import KronPair, explicit_kron
-from .tensors import DENSE_BUDGET, MotifTensor, ttv_same
+from .tensors import DENSE_BUDGET, MotifTensor
 
 __all__ = [
     "EigenPair",
@@ -191,35 +191,15 @@ class SymMatvec:
         return (k - 1) * np.moveaxis(vals.reshape(n, n, -1), 2, 0)
 
 
-class _NegatedMotif:
-    """Adapter presenting ``-T`` for a motif tensor to the power iteration."""
-
-    def __init__(self, tensor: MotifTensor):
-        self._t = tensor
-        self.order = tensor.order
-        self.dim = tensor.dim
-
-    def apply(self, X):
-        out = np.empty_like(X)
-        for j in range(X.shape[1]):
-            out[:, j] = -ttv_same(self._t, X[:, j], self.order - 1)
-        return out
-
-
-def _as_apply(tensor):
-    """Batched contraction closure plus metadata for any supported tensor."""
-    if isinstance(tensor, _NegatedMotif):
-        return tensor.apply, tensor.order, tensor.dim
+def _as_sym(tensor) -> SymMatvec:
+    """Contraction operator for a dense array, a :class:`SymMatvec`, or a
+    :class:`MotifTensor` densified under ``DENSE_BUDGET`` (a larger one
+    raises :class:`BudgetExceededError`)."""
+    if isinstance(tensor, SymMatvec):
+        return tensor
     if isinstance(tensor, MotifTensor):
-        def apply(X):
-            out = np.empty_like(X)
-            for j in range(X.shape[1]):
-                out[:, j] = ttv_same(tensor, X[:, j], tensor.order - 1)
-            return out
-
-        return apply, tensor.order, tensor.dim
-    sym = tensor if isinstance(tensor, SymMatvec) else SymMatvec(tensor)
-    return sym, sym.order, sym.dim
+        tensor = tensor.to_dense(DENSE_BUDGET)
+    return SymMatvec(tensor)
 
 
 def sshopm(
@@ -236,7 +216,7 @@ def sshopm(
     vector raises :class:`DegenerateIterateError`; running out of iterations
     returns the current pair flagged as non-converged.
     """
-    apply_fn, order, dim = _as_apply(tensor)
+    sym = _as_sym(tensor)
     if x0 is None:
         raise ValueError("an initial vector x0 is required")
     x = np.asarray(x0, dtype=np.float64).reshape(-1)
@@ -248,7 +228,7 @@ def sshopm(
     lam = np.inf
     its = 0
     for its in range(1, max_iter + 1):
-        c = apply_fn(x.reshape(-1, 1))[:, 0]
+        c = sym.matvec(x)
         lam = float(np.dot(x, c))
         if abs(lam - lam_prev) < tol:
             residual = float(np.linalg.norm(c - lam * x))
@@ -261,7 +241,7 @@ def sshopm(
                 f"zero iterate encountered at iteration {its}"
             )
         x = y / norm
-    c = apply_fn(x.reshape(-1, 1))[:, 0]
+    c = sym.matvec(x)
     lam = float(np.dot(x, c))
     residual = float(np.linalg.norm(c - lam * x))
     return EigenPair(lam, x, residual, False, its)
@@ -522,7 +502,6 @@ def dominant_eigen(
     tol: float = 1e-10,
     max_iter: int = 300,
     base_shift: float = 1.0,
-    dense_budget: int = DENSE_BUDGET,
 ) -> EigenPair:
     """Dominant Z-eigenpair by multi-restart shifted power iteration.
 
@@ -535,52 +514,13 @@ def dominant_eigen(
     leaves repelling.  Pooled candidates are deduplicated, polished by
     Newton correction, and the pair of largest magnitude wins, with ties
     broken toward the larger eigenvalue and then the lexicographically
-    larger vector.
+    larger vector.  Like :func:`sshopm` and :func:`spectrum_sample`, it
+    densifies a :class:`MotifTensor` under ``DENSE_BUDGET`` and raises
+    :class:`BudgetExceededError` for a larger one.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if isinstance(tensor, MotifTensor):
-        if tensor.dim**tensor.order <= dense_budget:
-            tensor = tensor.to_dense(dense_budget)
-        else:
-            return _dominant_sparse(tensor, restarts, seed, tol, max_iter, base_shift)
-    sym = tensor if isinstance(tensor, SymMatvec) else SymMatvec(tensor)
-    return _dominant_dense(sym, restarts, seed, tol, max_iter, base_shift)
-
-
-def _dominant_sparse(tensor, restarts, seed, tol, max_iter, base_shift):
-    """Restart loop for motif tensors too large to densify."""
-    rng = np.random.default_rng(seed)
-    k = tensor.order
-    signs = (1.0,) if k % 2 == 1 else (1.0, -1.0)
-    shifts = (0.0, base_shift, -base_shift)
-    configs = [(s, b) for s in signs for b in shifts]
-    results = []
-    for i in range(restarts):
-        x0 = rng.standard_normal(tensor.dim)
-        sign, shift = configs[i % len(configs)]
-        try:
-            if sign > 0:
-                pair = sshopm(tensor, shift, x0, tol, max_iter)
-                lam, x = pair.eigenvalue, pair.vector
-            else:
-                neg = _NegatedMotif(tensor)
-                pair = sshopm(neg, shift, x0, tol, max_iter)
-                lam, x = -pair.eigenvalue, pair.vector
-        except DegenerateIterateError:
-            continue
-        lam, x = _canonical(lam, x, k)
-        c = ttv_same(tensor, x, k - 1)
-        residual = float(np.linalg.norm(c - lam * x))
-        results.append(
-            EigenPair(lam, x, residual, pair.converged and residual <= 10 * tol)
-        )
-    if not results:
-        x = np.ones(tensor.dim) / math.sqrt(tensor.dim)
-        c = ttv_same(tensor, x, k - 1)
-        lam = float(np.dot(x, c))
-        return EigenPair(lam, x, float(np.linalg.norm(c - lam * x)), False)
-    return _select_best(results)
+    return _dominant_dense(_as_sym(tensor), restarts, seed, tol, max_iter, base_shift)
 
 
 def spectrum_sample(
@@ -589,7 +529,6 @@ def spectrum_sample(
     seed: int = 0,
     tol: float = 1e-10,
     dedup_tol: float = 1e-6,
-    dense_budget: int = DENSE_BUDGET,
 ) -> list[EigenPair]:
     """Sample distinct Z-eigenvalues of a small tensor, largest |value| first.
 
@@ -601,9 +540,7 @@ def spectrum_sample(
     pairs are reported with nonnegative eigenvalue (their negations are
     eigenpairs by sign symmetry).
     """
-    if isinstance(tensor, MotifTensor):
-        tensor = tensor.to_dense(dense_budget)
-    sym = tensor if isinstance(tensor, SymMatvec) else SymMatvec(tensor)
+    sym = _as_sym(tensor)
     k = sym.order
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((sym.dim, restarts))

@@ -37,7 +37,7 @@ __all__ = [
     "explicit_kron",
 ]
 
-DEFAULT_COLUMN_CAP = 10_000
+COLUMN_CAP = 10_000  # max expansion columns r^(k-1), read at call time
 EXPLICIT_BUDGET = 4_000_000
 
 
@@ -156,20 +156,16 @@ def expand_column_block(
     )
 
 
-def lowrank_kron_ttv(
-    pair: KronPair,
-    U: np.ndarray,
-    V: np.ndarray,
-    column_cap: int = DEFAULT_COLUMN_CAP,
-):
+def lowrank_kron_ttv(pair: KronPair, U: np.ndarray, V: np.ndarray):
     """Decoupled contraction for ``X = U V^T`` with ``r`` columns.
 
     For every tuple ``(i_1, ..., i_{k-1})`` in ``[r]^{k-1}`` (lexicographic),
     the output column is the multi-vector contraction of each operand with
     the selected factor columns, giving ``U' V'^T`` equal to the
     product-tensor contraction of ``vec(U V^T)``.  ``r^{k-1}`` above
-    ``column_cap`` is rejected so callers can fall back to the implicit or
-    accumulation forms.
+    :data:`COLUMN_CAP` raises :class:`BudgetExceededError`; the low-rank
+    iteration checks the same bound and accumulates the contraction from
+    column batches instead.
     """
     if not isinstance(pair.a, MotifTensor) or not isinstance(pair.b, MotifTensor):
         raise UnsupportedContractionError(
@@ -186,9 +182,9 @@ def lowrank_kron_ttv(
     k = pair.order
     r = U.shape[1]
     n_cols = r ** (k - 1)
-    if n_cols > column_cap:
+    if n_cols > COLUMN_CAP:
         raise BudgetExceededError(
-            f"expansion needs {n_cols} columns (cap {column_cap})"
+            f"expansion needs {n_cols} columns (cap {COLUMN_CAP})"
         )
     u_exp = expand_column_block(pair.a, U, 0, n_cols)
     v_exp = expand_column_block(pair.b, V, 0, n_cols)

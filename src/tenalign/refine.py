@@ -38,13 +38,16 @@ class RefineOptions:
     k_neighbors: int | str = "auto"
     max_sweeps: int = 10
 
+    def __post_init__(self):
+        if self.k_neighbors != "auto" and int(self.k_neighbors) < 1:
+            raise ValueError("k_neighbors must be >= 1")
+        if self.max_sweeps < 0:
+            raise ValueError("max_sweeps must be nonnegative")
+
     def resolve_k(self, rank: int) -> int:
         if self.k_neighbors == "auto":
             return max(1, 2 * rank)
-        k = int(self.k_neighbors)
-        if k < 1:
-            raise ValueError("k_neighbors must be >= 1")
-        return k
+        return int(self.k_neighbors)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from tenalign.eigen import (
     symmetrize,
     verify_decoupling,
 )
+from tenalign.tensors import MotifTensor
 
 
 def diagonal_tensor(dim, order=3):
@@ -129,10 +130,15 @@ class TestDominant:
         assert a.eigenvalue == b.eigenvalue
         assert np.array_equal(a.vector, b.vector)
 
-    def test_sparse_fallback_path(self, triangle):
-        # force the non-densified route
-        pair = dominant_eigen(triangle, restarts=60, seed=5, dense_budget=1)
-        assert pair.eigenvalue == pytest.approx(2.0 / math.sqrt(3), abs=1e-8)
+    def test_over_budget_motif_tensor_raises(self):
+        # 200^3 entries exceed DENSE_BUDGET: every routine refuses to densify
+        big = MotifTensor.empty(3, 200)
+        with pytest.raises(BudgetExceededError):
+            dominant_eigen(big, restarts=10)
+        with pytest.raises(BudgetExceededError):
+            spectrum_sample(big, restarts=10)
+        with pytest.raises(BudgetExceededError):
+            sshopm(big, 0.0, np.ones(200))
 
 
 class TestSpectrum:

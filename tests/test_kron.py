@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_contract, random_motif
-from tenalign import _kernels
+from tenalign import _kernels, kron
 from tenalign.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -252,12 +252,13 @@ class TestLowRank:
         # tuples (0,1) and (1,0) select identical column pairs
         assert np.allclose(ue[:, 1], ue[:, 2])
 
-    def test_column_cap(self, triangle, rng):
+    def test_column_cap(self, triangle, rng, monkeypatch):
+        monkeypatch.setattr(kron, "COLUMN_CAP", 8)
         pair = KronPair(triangle, triangle)
         U = rng.standard_normal((3, 3))
         V = rng.standard_normal((3, 3))
         with pytest.raises(BudgetExceededError):
-            lowrank_kron_ttv(pair, U, V, column_cap=8)
+            lowrank_kron_ttv(pair, U, V)
 
     def test_column_count_mismatch(self, triangle, rng):
         pair = KronPair(triangle, triangle)

@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from tenalign import kron
 from tenalign.cli import main
 from tenalign.graphs import save_edge_list
 from tenalign.matching import Matching
@@ -176,7 +177,8 @@ class TestAlignCommand:
         assert records_equal_modulo_timing(outs[0], outs[1])
         assert outs[0]["timings"]["total_seconds"] > 0
 
-    def test_accumulation_path_flagged(self, problem_files, tmp_path):
+    def test_accumulation_path_flagged(self, problem_files, tmp_path, monkeypatch):
+        monkeypatch.setattr(kron, "COLUMN_CAP", 1)
         out = str(tmp_path / "accum.json")
         code = main(
             [
@@ -187,7 +189,6 @@ class TestAlignCommand:
                 "--alpha", "0.5",
                 "--beta", "1",
                 "--iters", "4",
-                "--column-cap", "1",
                 "--out", out,
             ]
         )
@@ -195,6 +196,26 @@ class TestAlignCommand:
         (record,) = load_records(out)
         assert record["final"]["used_accumulation"] is True
         assert any(e["path"] == "accumulate" for e in record["per_iteration"])
+        assert record["options"]["column_cap"] == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message", [("--sweeps", "-1", "max_sweeps"), ("--knn", "0", "k_neighbors")]
+    )
+    def test_refine_flags_rejected(self, problem_files, tmp_path, capsys, flag, value, message):
+        out = str(tmp_path / "r.json")
+        code = main(
+            [
+                "align",
+                "--graph-a", problem_files["a"],
+                "--graph-b", problem_files["b"],
+                "--refine", "local-search",
+                flag, value,
+                "--out", out,
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_empty_motif_errors_without_fallback(self, tmp_path, capsys):
         from tenalign.graphs import Graph
@@ -272,6 +293,16 @@ class TestEigcheckCommand:
             )
             results.append(load_records(out))
         assert records_equal_modulo_timing(results[0], results[1])
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--dims", "0"), ("--dims", "2,-1"), ("--orders", "1"), ("--orders", "3,0")]
+    )
+    def test_rejects_out_of_range_entries(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "eig.jsonl")
+        argv = ["eigcheck", "--trials", "1", "--restarts", "10", flag, value, "--out", out]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestSynthCommand:

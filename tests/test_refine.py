@@ -164,3 +164,8 @@ class TestRefineOptions:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             RefineOptions(k_neighbors=0).resolve_k(5)
+
+    def test_negative_sweeps_rejected(self):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            RefineOptions(max_sweeps=-1)
+        assert RefineOptions(max_sweeps=0).max_sweeps == 0
