@@ -4,7 +4,11 @@ Two operations dominate alignment runtime: the pairwise implicit product
 contraction (quadratic in the motif counts) and the batched multi-vector
 contraction used to expand low-rank factor columns.  Each has one
 implementation here, deterministic run to run; :func:`ttv_tuples` is the
-only multi-vector contraction loop in the package.
+only multi-vector contraction loop in the package.  Both work in blocks
+bounded by a module constant (``IMPLICIT_CHUNK``, ``TUPLE_CHUNK``), and
+neither result depends on the blocking.  The implicit contraction scatters
+with a flat ``np.add.at``; :func:`ttv_tuples` scatters each block with one
+sparse incidence product, which adds in the same order.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 __all__ = [
     "implicit_pair_contract",
@@ -23,6 +28,7 @@ __all__ = [
 ]
 
 IMPLICIT_CHUNK = 4_000_000  # bound on A-rows times B-hyperedges per block
+TUPLE_CHUNK = 131_072  # bound on tuple columns times k * nnz products per block
 
 
 def using_numba() -> bool:
@@ -90,6 +96,20 @@ def implicit_pair_contract(EA, wA, EB, wB, X, m, n):
     return Y
 
 
+def _incidence(E, dim):
+    """CSR ``(dim, k * nnz)`` 0/1 matrix; column ``a * nnz + e`` is the
+    vertex in slot ``a`` of hyperedge ``e``.
+
+    Each row lists its columns in ascending order, so a product with it adds
+    slot by slot and, within a slot, hyperedge by hyperedge.
+    """
+    rows = E.T.reshape(-1)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    cols = np.argsort(rows, kind="stable")
+    return csr_matrix((np.ones(rows.size), cols, indptr), shape=(dim, rows.size))
+
+
 def ttv_tuples(E, w, M, dim, digits):
     """Multi-vector contractions for explicit rows of factor-column indices.
 
@@ -98,7 +118,9 @@ def ttv_tuples(E, w, M, dim, digits):
     ``M[:, digits[t, 0]], ..., M[:, digits[t, k-2]]``: entry ``i`` sums, over
     hyperedges containing ``i`` and over all bijections from the selected
     columns to the other ``k - 1`` vertices, the hyperedge weight times the
-    assigned factor entries.
+    assigned factor entries.  Each product is the weight times the factors in
+    slot order, and each output entry adds them up slot by slot, then
+    hyperedge by hyperedge, so results do not depend on the blocking.
     """
     nnz, k = E.shape
     digits = np.asarray(digits, dtype=np.int64).reshape(-1, k - 1)
@@ -107,18 +129,26 @@ def ttv_tuples(E, w, M, dim, digits):
     if nnz == 0 or width == 0:
         return out
     perms, rest = _tables(k)
-    out_flat = out.reshape(-1)
-    for a in range(k):
-        acc = np.zeros((nnz, width))
-        for p in perms:
-            term = w[:, None] * M[E[:, rest[a, p[0]]], :][:, digits[:, 0]]
-            for t in range(1, k - 1):
-                term = term * M[E[:, rest[a, p[t]]], :][:, digits[:, t]]
-            acc += term
-        # flat scatter: the same row-major order as np.add.at(out, E[:, a], acc)
-        flat = E[:, a][:, None] * width + np.arange(width)
-        np.add.at(out_flat, flat.reshape(-1), acc.reshape(-1))
-        del flat  # free it before the next slot's products
+    # factor rows gathered once per slot and transposed, (r, nnz), so each
+    # term of a column block is a row gather G[c][digits]
+    MT = np.ascontiguousarray(np.asarray(M, dtype=np.float64).T)
+    G = [np.take(MT, E[:, c], axis=1) for c in range(k)]
+    S = _incidence(E, dim)
+    block = max(1, TUPLE_CHUNK // (k * nnz))
+    for lo in range(0, width, block):
+        dig = digits[lo:lo + block]
+        # rows a * nnz + e of the scatter operand, the order S adds them in
+        B = np.empty((k * nnz, dig.shape[0]))
+        for a in range(k):
+            acc = None
+            for p in perms:
+                term = G[rest[a, p[0]]][dig[:, 0]]
+                term *= w  # one product, so the same as weight times factor
+                for t in range(1, k - 1):
+                    term *= G[rest[a, p[t]]][dig[:, t]]
+                acc = term if acc is None else np.add(acc, term, out=acc)
+            B[a * nnz:(a + 1) * nnz] = acc.T
+        out[:, lo:lo + block] = S @ B
     return out
 
 
@@ -134,4 +164,4 @@ def ttv_column_block(E, w, M, dim, start, stop):
     digits = np.stack(
         np.unravel_index(np.arange(start, stop), (r,) * (k - 1)), axis=1
     )
-    return ttv_tuples(E, w, np.ascontiguousarray(M, dtype=np.float64), dim, digits)
+    return ttv_tuples(E, w, M, dim, digits)

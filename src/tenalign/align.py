@@ -124,6 +124,7 @@ class IterationStats:
     matching_seconds: float
     sigma_ratio: float | None = None
     path: str = ""
+    rank_reveal_seconds: float = 0.0
 
 
 @dataclass
@@ -347,10 +348,12 @@ def lowrank_tame(
     ``r^{k-1}`` fits under ``kron.COLUMN_CAP``, the next iterate's columns come
     from the decoupled contraction and the affine shift concatenates factor
     blocks scaled by ``sqrt(alpha)``, ``sqrt(alpha * beta)`` and
-    ``sqrt(1 - alpha)`` before a rank-revealing truncation.  Above the cap
-    the contraction result is accumulated densely from column batches,
-    remixed and renormalized exactly as in :func:`tame`, and re-factored by
-    SVD (the wide-factor regime).
+    ``sqrt(1 - alpha)`` before a rank-revealing truncation.  A new rank above
+    ``C(r+k-2, k-1) + r + 1`` (the distinct expansion columns, the ``r``
+    shift columns and the rank-1 prior) raises :class:`NumericalFailureError`.
+    Above the cap the contraction result is accumulated densely from column
+    batches, remixed and renormalized exactly as in :func:`tame`, and
+    re-factored by SVD (the wide-factor regime).
     """
     _require_nonempty(tensor_a, tensor_b)
     if opts.max_iter < 1:
@@ -390,7 +393,9 @@ def lowrank_tame(
             if opts.alpha < 1.0:
                 u_blocks.append(math.sqrt(1.0 - opts.alpha) * x0.u)
                 v_blocks.append(math.sqrt(1.0 - opts.alpha) * x0.v)
+            t0 = time.perf_counter()
             revealed, sigma = rank_reveal(np.hstack(u_blocks), np.hstack(v_blocks))
+            t_reveal = time.perf_counter() - t0
             new_factors = _normalized(revealed)
         else:
             path = "accumulate"
@@ -398,12 +403,15 @@ def lowrank_tame(
             x_hat = _accumulated_contraction(pair, current)
             t_contract = time.perf_counter() - t0
             lam, x_new = _dense_step(x_hat, current.dense(), x0.dense(), opts, ell)
+            t0 = time.perf_counter()
             new_factors, sigma = truncated_svd(x_new)
+            t_reveal = time.perf_counter() - t0
         sigma_ratio = float(sigma[1] / sigma[0]) if sigma.size > 1 else 0.0
         if not np.isfinite(lam):
             raise NumericalFailureError("non-finite eigenvalue estimate")
         new_rank = new_factors.rank
-        bound = r ** (k - 1) + r + 1
+        # duplicate expansion columns add no rank: C(r+k-2, k-1) are distinct
+        bound = math.comb(r + k - 2, k - 1) + r + 1
         if new_rank > bound:
             raise NumericalFailureError(
                 f"rank growth bound violated at iteration {ell}: "
@@ -418,7 +426,7 @@ def lowrank_tame(
         stats.append(
             IterationStats(
                 ell, lam, new_rank, score, t_contract, t_match,
-                sigma_ratio=sigma_ratio, path=path,
+                sigma_ratio=sigma_ratio, path=path, rank_reveal_seconds=t_reveal,
             )
         )
         best.offer(ell, score, matching, new_factors)

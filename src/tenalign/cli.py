@@ -219,6 +219,9 @@ def _align_once(graph_a, graph_b, truth, args, method, refine, seed):
             "matching_seconds": sum(
                 s.matching_seconds for s in output.per_iteration
             ),
+            "rank_reveal_seconds": sum(
+                s.rank_reveal_seconds for s in output.per_iteration
+            ),
             "refine_seconds": refine_seconds,
             "total_seconds": time.perf_counter() - t_start,
         },
@@ -239,18 +242,31 @@ def cmd_align(args) -> int:
     return 0
 
 
+def _int_list(raw: str, flag: str, low: int) -> list:
+    """Comma-separated integers of a flag, each at least ``low``."""
+    try:
+        values = [int(v) for v in raw.split(",") if v]
+    except ValueError:
+        raise TenalignError(f"{flag} must be a comma list of integers, got {raw!r}") from None
+    if not values:
+        raise TenalignError(f"{flag} must be nonempty")
+    if min(values) < low:
+        raise TenalignError(f"{flag} entries must be >= {low}, got {min(values)}")
+    return values
+
+
+def _trials(args) -> int:
+    if args.trials < 0:
+        raise TenalignError(f"--trials must be >= 0, got {args.trials}")
+    return args.trials
+
+
 def cmd_eigcheck(args) -> int:
-    dims = [int(d) for d in args.dims.split(",") if d]
-    orders = [int(o) for o in args.orders.split(",") if o]
-    if not dims or not orders:
-        raise TenalignError("--dims and --orders must be nonempty")
-    if min(dims) < 1:
-        raise TenalignError(f"--dims entries must be >= 1, got {min(dims)}")
-    if min(orders) < 2:
-        raise TenalignError(f"--orders entries must be >= 2, got {min(orders)}")
+    dims = _int_list(args.dims, "--dims", 1)
+    orders = _int_list(args.orders, "--orders", 2)
     out_records = []
     root = np.random.SeedSequence(args.seed)
-    for trial, child in enumerate(root.spawn(max(args.trials, 0))):
+    for trial, child in enumerate(root.spawn(_trials(args))):
         rng = np.random.default_rng(child)
         m = int(rng.choice(dims))
         n = int(rng.choice(dims))
@@ -305,6 +321,7 @@ def _parse_run_combos(raw: str):
 
 
 def cmd_synth(args) -> int:
+    trials = _trials(args)
     os.makedirs(args.out, exist_ok=True)
     params = (
         {"p": args.p} if args.model == "er"
@@ -314,7 +331,7 @@ def cmd_synth(args) -> int:
     problem_records = []
     run_records = []
     root = np.random.SeedSequence(args.seed)
-    for trial, child in enumerate(root.spawn(max(args.trials, 0))):
+    for trial, child in enumerate(root.spawn(trials)):
         problem = make_problem(args.n, args.model, dict(params), seed=child)
         stem = os.path.join(args.out, f"trial{trial:03d}")
         save_edge_list(problem.graph_a, stem + "_a.el")

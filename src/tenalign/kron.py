@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import implicit_pair_contract, ttv_column_block
+from ._kernels import implicit_pair_contract, ttv_column_block, ttv_tuples
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -162,7 +162,10 @@ def lowrank_kron_ttv(pair: KronPair, U: np.ndarray, V: np.ndarray):
     For every tuple ``(i_1, ..., i_{k-1})`` in ``[r]^{k-1}`` (lexicographic),
     the output column is the multi-vector contraction of each operand with
     the selected factor columns, giving ``U' V'^T`` equal to the
-    product-tensor contraction of ``vec(U V^T)``.  ``r^{k-1}`` above
+    product-tensor contraction of ``vec(U V^T)``.  The operands are
+    symmetric, so a column depends only on the multiset of its tuple: only
+    the ``C(r+k-2, k-1)`` nondecreasing tuples are contracted, and every
+    tuple's column is a copy of its sorted tuple's.  ``r^{k-1}`` above
     :data:`COLUMN_CAP` raises :class:`BudgetExceededError`; the low-rank
     iteration checks the same bound and accumulates the contraction from
     column batches instead.
@@ -186,9 +189,27 @@ def lowrank_kron_ttv(pair: KronPair, U: np.ndarray, V: np.ndarray):
         raise BudgetExceededError(
             f"expansion needs {n_cols} columns (cap {COLUMN_CAP})"
         )
-    u_exp = expand_column_block(pair.a, U, 0, n_cols)
-    v_exp = expand_column_block(pair.b, V, 0, n_cols)
-    return u_exp, v_exp
+    digits, where = _sorted_tuples(r, k)
+    return _expand(pair.a, U, digits, where), _expand(pair.b, V, digits, where)
+
+
+def _sorted_tuples(r: int, k: int):
+    """The nondecreasing ``(k-1)``-tuples over ``range(r)``, lexicographic,
+    and for each tuple of ``[r]^{k-1}`` (lexicographic) the row of its
+    sorted form."""
+    shape = (r,) * (k - 1)
+    full = np.indices(shape).reshape(k - 1, -1)
+    codes, where = np.unique(
+        np.ravel_multi_index(np.sort(full, axis=0), shape), return_inverse=True
+    )
+    return np.stack(np.unravel_index(codes, shape), axis=1), where
+
+
+def _expand(tensor: MotifTensor, M: np.ndarray, digits, where) -> np.ndarray:
+    cols = ttv_tuples(tensor.hyperedges, tensor.weights, M, tensor.dim, digits)
+    # a C-contiguous copy, as the direct expansion was: the BLAS products of
+    # the iteration round differently on other layouts
+    return np.ascontiguousarray(cols[:, where])
 
 
 def explicit_kron(pair: KronPair, budget: int = EXPLICIT_BUDGET) -> np.ndarray:

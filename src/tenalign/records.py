@@ -69,6 +69,7 @@ def iteration_entries(output) -> list:
                 "path": s.path,
                 "contraction_seconds": s.contraction_seconds,
                 "matching_seconds": s.matching_seconds,
+                "rank_reveal_seconds": s.rank_reveal_seconds,
             }
         )
     return entries

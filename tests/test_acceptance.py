@@ -231,9 +231,9 @@ def test_criterion_05_rank1_preservation(equality_problems):
 
 
 def test_criterion_06_rank_growth_bound(equality_problems):
-    # the bound r' <= r^(k-1) + r + 1 is asserted inside the iteration and so
-    # is exercised by every low-rank run in this suite; rerun the parameter
-    # matrix here, then record observed ranks on duplication problems
+    # the bound r' <= C(r+k-2, k-1) + r + 1 is checked inside the iteration
+    # and so is exercised by every low-rank run in this suite; rerun the
+    # parameter matrix here, then record observed ranks on duplication problems
     for ta, tb in equality_problems[:4]:
         for alpha in (0.5, 1.0):
             for beta in (0.0, 1.0, 10.0):
@@ -256,7 +256,7 @@ def test_criterion_06_rank_growth_bound(equality_problems):
             dims.append(min(problem.graph_a.n, problem.graph_b.n))
     _report(
         6, "rank-growth bound",
-        f"bound assertion never fired; duplication n=100 observed max rank "
+        f"bound r' <= C(r+k-2, k-1) + r + 1 never fired; duplication n=100 observed max rank "
         f"{max(observed)} vs min(m,n)={min(dims)} (recorded, not thresholded)",
     )
 

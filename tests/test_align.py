@@ -105,7 +105,7 @@ class TestLowRank:
         out = lowrank_tame(ta, tb, opts=opts)
         prev = 1
         for s in out.per_iteration:
-            assert s.rank <= prev ** 2 + prev + 1
+            assert s.rank <= math.comb(prev + 1, 2) + prev + 1
             prev = s.rank
 
     def test_accumulation_path_matches_expansion(self, small_problem, monkeypatch):
@@ -130,8 +130,8 @@ class TestLowRank:
 
 
     def test_rank_growth_guard_raises(self, triangle, monkeypatch):
-        # a rank reveal returning more than r^(k-1) + r + 1 columns stops
-        # the iteration with an error that survives python -O
+        # a rank reveal returning more than C(r+k-2, k-1) + r + 1 columns
+        # stops the iteration with an error that survives python -O
         def too_wide(U, V):
             cols = np.ones((U.shape[0], 4)), np.ones((V.shape[0], 4))
             return FactorPair(*cols), np.ones(4)
@@ -139,6 +139,21 @@ class TestLowRank:
         monkeypatch.setattr(align_mod, "rank_reveal", too_wide)
         with pytest.raises(NumericalFailureError, match="rank 4 > bound 3"):
             lowrank_tame(triangle, triangle, opts=AlignOptions(alpha=1.0, beta=0.0))
+
+
+    def test_rank_growth_guard_counts_distinct_columns(self, triangle, monkeypatch):
+        # at r = 2, k = 3 the expansion has 4 columns but only 3 distinct
+        # ones: the bound is 3 + 2 + 1 = 6, not 4 + 2 + 1 = 7
+        widths = iter((2, 7))
+
+        def widening(U, V):
+            w = next(widths)
+            return FactorPair(np.ones((U.shape[0], w)), np.ones((V.shape[0], w))), np.ones(w)
+
+        monkeypatch.setattr(align_mod, "rank_reveal", widening)
+        opts = AlignOptions(alpha=1.0, beta=0.0, tol=0.0, match_every=False)
+        with pytest.raises(NumericalFailureError, match="rank 7 > bound 6"):
+            lowrank_tame(triangle, triangle, opts=opts)
 
 
 class TestRankReveal:

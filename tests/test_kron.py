@@ -73,6 +73,32 @@ def column_block_oracle(E, w, M, dim, start, stop):
     return out
 
 
+def ttv_tuples_oracle(E, w, M, dim, digits):
+    """The former multi-vector loop, kept verbatim as a bitwise oracle."""
+    nnz, k = E.shape
+    digits = np.asarray(digits, dtype=np.int64).reshape(-1, k - 1)
+    width = digits.shape[0]
+    out = np.zeros((dim, width))
+    if nnz == 0 or width == 0:
+        return out
+    perms, rest = _kernels._tables(k)
+    out_flat = out.reshape(-1)
+    for a in range(k):
+        acc = np.zeros((nnz, width))
+        for p in perms:
+            term = w[:, None] * M[E[:, rest[a, p[0]]], :][:, digits[:, 0]]
+            for t in range(1, k - 1):
+                term = term * M[E[:, rest[a, p[t]]], :][:, digits[:, t]]
+            acc += term
+        flat = E[:, a][:, None] * width + np.arange(width)
+        np.add.at(out_flat, flat.reshape(-1), acc.reshape(-1))
+    return out
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
 def diagonal_tensor(dim, order):
     out = np.zeros((dim,) * order)
     for i in range(dim):
@@ -203,6 +229,79 @@ class TestImplicit:
                 got = _kernels.implicit_pair_contract(*args)
                 ref = implicit_oracle(*args, chunk_entries=chunk_entries)
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+class TestTtvTuples:
+    @pytest.mark.parametrize("chunk", [_kernels.TUPLE_CHUNK, 200, 1])
+    def test_bit_identical_to_former_loop(self, monkeypatch, rng, chunk):
+        # the blocked kernel keeps every product and every addition of the
+        # former loop in order, for any digit rows and any blocking
+        monkeypatch.setattr(_kernels, "TUPLE_CHUNK", chunk)
+        for k in (2, 3, 4, 5):
+            for n, r, width in ((k, 1, 1), (7, 3, 6), (9, 4, 40)):
+                t = random_motif(k, n, rng)
+                M = rng.standard_normal((n, r))
+                M[rng.random((n, r)) < 0.2] = -0.0
+                digits = rng.integers(0, r, (width, k - 1))
+                args = (t.hyperedges, t.weights, M, n, digits)
+                got = _kernels.ttv_tuples(*args)
+                assert np.array_equal(bits(got), bits(ttv_tuples_oracle(*args)))
+
+    def test_empty_tensor_and_no_digits(self, rng):
+        for k in (2, 3, 4):
+            t = MotifTensor.empty(k, 5)
+            M = rng.standard_normal((5, 2))
+            out = _kernels.ttv_tuples(t.hyperedges, t.weights, M, 5, np.zeros((3, k - 1)))
+            assert out.shape == (5, 3) and not out.any()
+            full = random_motif(k, 6, rng)
+            out = _kernels.ttv_tuples(full.hyperedges, full.weights, M, 6, np.zeros((0, k - 1)))
+            assert out.shape == (6, 0)
+
+
+class TestSymmetricExpansion:
+    def test_sorted_tuples(self):
+        from itertools import combinations_with_replacement, product
+
+        for r, k in ((1, 2), (4, 2), (1, 3), (5, 3), (3, 4), (3, 5)):
+            digits, where = kron._sorted_tuples(r, k)
+            ref = list(combinations_with_replacement(range(r), k - 1))
+            assert digits.tolist() == [list(t) for t in ref]
+            assert len(ref) == math.comb(r + k - 2, k - 1)
+            for flat, tup in enumerate(product(range(r), repeat=k - 1)):
+                assert digits[where[flat]].tolist() == sorted(tup)
+
+    def _expansions(self, k, n, r, rng, weighted):
+        pair = KronPair(
+            random_motif(k, n, rng, weighted=weighted),
+            random_motif(k, n + 1, rng, weighted=weighted),
+        )
+        U = rng.standard_normal((n, r))
+        V = rng.standard_normal((n + 1, r))
+        got = lowrank_kron_ttv(pair, U, V)
+        full = r ** (k - 1)
+        ref = (
+            kron.expand_column_block(pair.a, U, 0, full),
+            kron.expand_column_block(pair.b, V, 0, full),
+        )
+        return got, ref
+
+    @pytest.mark.parametrize("k, weighted", [(2, True), (3, False)])
+    def test_bit_identical_to_full_expansion(self, rng, k, weighted):
+        # one slot pair per term: (c1, c2) and (c2, c1) give the same
+        # products, summed in swapped order, so the columns agree bit for bit
+        for n, r in ((5, 1), (8, 3), (12, 7)):
+            got, ref = self._expansions(k, n, r, rng, weighted)
+            for g, f in zip(got, ref):
+                assert g.flags.c_contiguous
+                assert np.array_equal(bits(g), bits(f))
+
+    @pytest.mark.parametrize("k, weighted", [(3, True), (4, False), (4, True), (5, True)])
+    def test_close_to_full_expansion(self, rng, k, weighted):
+        for n, r in ((6, 2), (9, 4)):
+            got, ref = self._expansions(k, n, r, rng, weighted)
+            for g, f in zip(got, ref):
+                assert g.flags.c_contiguous
+                assert np.linalg.norm(g - f) <= 1e-13 * np.linalg.norm(f)
 
 
 class TestLowRank:

@@ -176,6 +176,9 @@ class TestAlignCommand:
             outs.append(load_records(out)[0])
         assert records_equal_modulo_timing(outs[0], outs[1])
         assert outs[0]["timings"]["total_seconds"] > 0
+        reveal = [e["rank_reveal_seconds"] for e in outs[0]["per_iteration"]]
+        assert all(t > 0 for t in reveal)
+        assert outs[0]["timings"]["rank_reveal_seconds"] == pytest.approx(sum(reveal))
 
     def test_accumulation_path_flagged(self, problem_files, tmp_path, monkeypatch):
         monkeypatch.setattr(kron, "COLUMN_CAP", 1)
@@ -295,7 +298,11 @@ class TestEigcheckCommand:
         assert records_equal_modulo_timing(results[0], results[1])
 
     @pytest.mark.parametrize(
-        "flag, value", [("--dims", "0"), ("--dims", "2,-1"), ("--orders", "1"), ("--orders", "3,0")]
+        "flag, value",
+        [
+            ("--dims", "0"), ("--dims", "2,-1"), ("--orders", "1"), ("--orders", "3,0"),
+            ("--dims", "2,x"), ("--orders", "3,y"), ("--trials", "-3"),
+        ],
     )
     def test_rejects_out_of_range_entries(self, tmp_path, capsys, flag, value):
         out = str(tmp_path / "eig.jsonl")
@@ -337,6 +344,15 @@ class TestSynthCommand:
         (record,) = load_records(os.path.join(out, "records.jsonl"))
         assert record["kind"] == "synth-trial"
         assert record["final"]["accuracy"] is not None
+
+    def test_negative_trials_rejected(self, tmp_path, capsys):
+        out = str(tmp_path / "sweep")
+        code = main(
+            ["synth", "--n", "10", "--model", "er", "--trials", "-3", "--out", out]
+        )
+        assert code == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_invalid_combo_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "sweep")
