@@ -73,7 +73,9 @@ def implicit_pair_contract(EA, wA, EB, wB, X, m, n):
         # The products are built transposed, (nnz_b, chunk), so each block
         # X[ea[:, c]][:, EB[:, d]] is a row gather of XA[c] = X[ea[:, c]].T
         XA = [np.ascontiguousarray(XT[:, ea[:, c]]) for c in range(k)]
-        wa = wA[lo:hi]
+        # the weight factor of every (a, b) slot pair of this chunk
+        base = np.outer(wA[lo:hi], wB)
+        base *= gamma
         for a in range(k):
             rows = ea[:, a][:, None] * n
             for b in range(k):
@@ -85,10 +87,9 @@ def implicit_pair_contract(EA, wA, EB, wB, X, m, n):
                     # starting from the first term rather than from zeros can
                     # only flip the sign of a zero, which adding to Y ignores
                     acc = term if acc is None else np.add(acc, term, out=acc)
-                vals = np.outer(wa, wB)
-                vals *= gamma
-                np.multiply(acc.T, vals, out=vals)
-                del acc, term  # at most three (chunk, nnz_b) blocks stay live
+                del term  # besides base, at most three (chunk, nnz_b) blocks live
+                vals = np.multiply(acc.T, base)
+                del acc
                 # a flat, row-major scatter adds in the same order as the
                 # (row, column) one, and numpy runs it much faster
                 np.add.at(Y_flat, (rows + EB[:, b]).reshape(-1), vals.reshape(-1))

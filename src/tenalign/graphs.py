@@ -23,6 +23,7 @@ __all__ = [
 MIN_MOTIF = 2
 MAX_MOTIF = 9
 KNN_CHUNK = 4_000_000  # bound on query rows times points per distance block
+CODE_LIMIT = np.iinfo(np.int64).max  # bound on the codes of RowCodes; tests lower it
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,6 @@ class Graph:
     def degree(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64, copy=False)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_set
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
@@ -156,43 +154,102 @@ def save_edge_list(graph: Graph, path) -> None:
             fh.write(f"{u + 1} {v + 1}\n")
 
 
+class SortedCodes:
+    """Exact set of sorted unique int64 ``keys``, looked up by ``searchsorted``.
+
+    ``find`` gives ``1 +`` the position of each code, or 0 when absent, so
+    every result lies below ``bound``.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        self.bound = keys.size + 1
+
+    def find(self, codes: np.ndarray) -> np.ndarray:
+        if self.keys.size == 0:
+            return np.zeros(np.shape(codes), dtype=np.int64)
+        pos = np.searchsorted(self.keys, codes)
+        return np.where(self.keys[np.minimum(pos, self.keys.size - 1)] == codes, pos + 1, 0)
+
+    def contains(self, codes: np.ndarray) -> np.ndarray:
+        return self.find(codes) > 0
+
+
+class RowCodes:
+    """Exact membership of integer rows in a table of rows, by int64 codes.
+
+    A row of ids in ``[0, base)`` is folded into one code as base-``base``
+    digits, which is injective.  Where the next fold could pass
+    ``CODE_LIMIT``, the prefix codes are first replaced by their ``find``
+    result in the set of the table's distinct prefixes (0 when the table
+    lacks one), which keeps the codes exact at any base and row width.  A
+    query may also hold the id -1 when no table row holds ``base - 1``: it
+    folds like that digit, into a code no table row has.  ``index`` builds
+    the code sets from sorted unique codes.
+    """
+
+    def __init__(self, table: np.ndarray, base: int, index=SortedCodes):
+        self.base = int(base)
+        self.prefixes = []  # per later column: the prefix set to fold, or None
+        cols = np.asarray(table, dtype=np.int64).T
+        code, top = cols[0], self.base  # top bounds the codes so far
+        for col in cols[1:]:
+            prefix = None
+            if top * self.base > CODE_LIMIT:
+                prefix = index(_distinct(code))
+                code, top = prefix.find(code), prefix.bound
+            self.prefixes.append(prefix)
+            code, top = code * self.base + col, top * self.base
+        self.keys = index(_distinct(code))
+
+    def contains(self, cols) -> np.ndarray:
+        """Whether each query row, given as its ``k`` columns, is a table row."""
+        code = np.asarray(cols[0], dtype=np.int64)
+        for prefix, col in zip(self.prefixes, cols[1:]):
+            if prefix is not None:
+                code = prefix.find(code)
+            code = code * self.base + col
+        return self.keys.contains(code)
+
+
+def _distinct(code: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; ``np.unique`` costs many times more on short arrays."""
+    code = np.sort(code)
+    keep = np.ones(code.size, dtype=bool)
+    keep[1:] = code[1:] != code[:-1]
+    return code[keep]
+
+
 def enumerate_cliques(graph: Graph, k: int) -> np.ndarray:
     """All k-vertex complete subgraphs, each once as a sorted tuple.
 
-    Ordered extension: a clique is grown only by neighbors larger than its
-    last vertex that are adjacent to every current member, so each k-subset
-    is generated exactly once, in lexicographic order.
+    A level-wise join: each j-clique, kept in lexicographic order, is grown
+    by the neighbours above its last vertex, read in ascending order from the
+    CSR of the ``u < v`` edges, and a grown row stays only when every earlier
+    member is adjacent to the new vertex (one :class:`RowCodes` lookup per
+    member).  Each k-subset is thus generated exactly once, and the result is
+    in lexicographic order.
     """
     if k < MIN_MOTIF or k > MAX_MOTIF:
         raise ValueError(f"clique size must be in [{MIN_MOTIF}, {MAX_MOTIF}], got {k}")
+    edges = graph.edges
     if k == 2:
-        return graph.edges.copy()
-    adj = graph.adjacency
-    out: list[tuple] = []
-    prefix = np.empty(k, dtype=np.int64)
-
-    def extend(depth: int, cands: np.ndarray) -> None:
-        if depth == k - 1:
-            for v in cands:
-                prefix[depth] = v
-                out.append(tuple(prefix))
-            return
-        for i, v in enumerate(cands):
-            higher = cands[i + 1:]
-            if higher.size + depth + 1 < k:
-                break
-            prefix[depth] = v
-            nxt = higher[np.isin(higher, adj[v], assume_unique=True)]
-            if nxt.size + depth + 1 >= k:
-                extend(depth + 1, nxt)
-
-    for u in range(graph.n):
-        neigh = adj[u]
-        higher = neigh[neigh > u]
-        if higher.size >= k - 1:
-            prefix[0] = u
-            extend(1, higher)
-    return np.asarray(out, dtype=np.int64).reshape(-1, k)
+        return edges.copy()
+    indptr = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edges[:, 0], minlength=graph.n), out=indptr[1:])
+    adjacent = RowCodes(edges, graph.n)
+    cliques = edges
+    for _ in range(k - 2):
+        last = cliques[:, -1]
+        counts = indptr[last + 1] - indptr[last]
+        ends = np.cumsum(counts)
+        rows = np.repeat(np.arange(cliques.shape[0]), counts)
+        new = edges[np.arange(counts.sum()) + np.repeat(indptr[last] - ends + counts, counts), 1]
+        for col in range(cliques.shape[1] - 1):
+            keep = adjacent.contains((cliques[rows, col], new))
+            rows, new = rows[keep], new[keep]
+        cliques = np.column_stack((cliques[rows], new))
+    return cliques.reshape(-1, k)
 
 
 def clique_tensor(graph: Graph, k: int) -> MotifTensor:

@@ -8,13 +8,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalFailureError
-from .graphs import Graph
+from .graphs import Graph, RowCodes
 from .tensors import MotifTensor
 
 __all__ = [
     "Matching",
     "max_weight_matching",
-    "greedy_matching",
     "motifs_aligned",
     "edges_aligned",
     "accuracy",
@@ -53,8 +52,8 @@ class Matching:
     def row_map(self) -> np.ndarray:
         """Array of length ``n_rows`` mapping each row to its column or -1."""
         out = np.full(self.n_rows, -1, dtype=np.int64)
-        for i, j in self.pairs:
-            out[i] = j
+        pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
+        out[pairs[:, 0]] = pairs[:, 1]
         return out
 
     def __len__(self):
@@ -83,59 +82,32 @@ def max_weight_matching(X: np.ndarray) -> Matching:
     return Matching(m, n, pairs, weight)
 
 
-def greedy_matching(X: np.ndarray) -> Matching:
-    """Greedy matching by descending entry; a lower bound used as a test oracle."""
-    X = np.asarray(X, dtype=np.float64)
-    m, n = X.shape
-    order = np.argsort(X, axis=None, kind="stable")[::-1]
-    used_r = np.zeros(m, dtype=bool)
-    used_c = np.zeros(n, dtype=bool)
-    pairs = []
-    weight = 0.0
-    for flat in order:
-        i, j = divmod(int(flat), n)
-        if X[i, j] <= 0:
-            break
-        if not used_r[i] and not used_c[j]:
-            used_r[i] = used_c[j] = True
-            pairs.append((i, j))
-            weight += float(X[i, j])
-    return Matching(m, n, pairs, weight)
-
-
 def motifs_aligned(matching: Matching, tensor_a: MotifTensor, tensor_b: MotifTensor) -> int:
     """Count hyperedges of ``tensor_a`` mapped onto hyperedges of ``tensor_b``.
 
     A hyperedge counts when every vertex is matched and the sorted image is
     a stored hyperedge of ``tensor_b`` (an unordered count: symmetric
-    orientation multiplicities are not included).
+    orientation multiplicities are not included).  The images are looked up
+    among B's hyperedges by exact sorted codes (:class:`RowCodes`).
     """
     if tensor_a.order != tensor_b.order:
         raise ValueError("tensors must have equal order")
-    if tensor_a.nnz == 0 or len(matching) == 0:
-        return 0
-    sigma = matching.row_map()
-    images = sigma[tensor_a.hyperedges]
-    complete = np.all(images >= 0, axis=1)
-    if not complete.any():
-        return 0
-    images = np.sort(images[complete], axis=1)
-    b_keys = {tuple(row) for row in tensor_b.hyperedges.tolist()}
-    return sum(1 for row in images.tolist() if tuple(row) in b_keys)
+    return _rows_aligned(matching, tensor_a.hyperedges, tensor_b.hyperedges, tensor_b.dim)
 
 
 def edges_aligned(matching: Matching, graph_a: Graph, graph_b: Graph) -> int:
-    """Count edges of ``graph_a`` mapped onto edges of ``graph_b``."""
-    if graph_a.num_edges == 0 or len(matching) == 0:
+    """Count edges of ``graph_a`` mapped onto edges of ``graph_b``, the same
+    way :func:`motifs_aligned` counts hyperedges."""
+    return _rows_aligned(matching, graph_a.edges, graph_b.edges, graph_b.n)
+
+
+def _rows_aligned(matching, rows_a, rows_b, dim_b) -> int:
+    """How many rows of A have all vertices matched and a sorted image in B."""
+    if rows_a.shape[0] == 0 or len(matching) == 0:
         return 0
-    sigma = matching.row_map()
-    images = sigma[graph_a.edges]
-    complete = np.all(images >= 0, axis=1)
-    if not complete.any():
-        return 0
-    images = np.sort(images[complete], axis=1)
-    b_keys = graph_b.edge_set
-    return sum(1 for row in images.tolist() if tuple(row) in b_keys)
+    images = matching.row_map()[rows_a]
+    images = np.sort(images[np.all(images >= 0, axis=1)], axis=1)
+    return int(RowCodes(rows_b, max(dim_b, matching.n_cols)).contains(images.T).sum())
 
 
 def accuracy(matching: Matching, truth: np.ndarray) -> float:

@@ -11,9 +11,9 @@ lexicographic score, so termination is guaranteed.
 The scoring is array-based.  Every A hyperedge and edge carries a flag
 saying whether its image under the matching is a B row; the B rows are a
 hash set of exact int64 codes of their sorted tuples.  All candidate swaps
-on one side of a pair are scored in one vectorized pass over the rows they
-touch, so the first improvement in candidate order is the same one a
-candidate-by-candidate loop finds.
+of a pair, B side first and then A side, are scored in one vectorized pass
+over the rows they touch, so the first improvement in candidate order is
+the same one a candidate-by-candidate loop finds.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .align import FactorPair
 from .errors import NumericalFailureError
-from .graphs import Graph, nearest_rows
+from .graphs import Graph, RowCodes, nearest_rows
 from .matching import Matching
 from .tensors import MotifTensor
 
@@ -54,9 +54,9 @@ class RefineOptions:
 class RefineStats:
     """Work counters of one :func:`local_search` call.
 
-    ``candidates_scored`` counts, per scored side of a pair, the candidates
-    up to and including the accepted one in candidate order, so it does not
-    depend on how the candidates are batched.
+    ``candidates_scored`` counts, per visited pair, the candidates up to and
+    including the accepted one in candidate order (B side, then A side), so
+    it does not depend on how the candidates are batched.
     """
 
     sweeps: int = 0
@@ -75,7 +75,6 @@ def knn_embedding_neighbors(F: np.ndarray, row: int, k: int) -> np.ndarray:
     return nearest_rows(F, [row], k)[0]
 
 
-KEY_LIMIT = np.iinfo(np.int64).max  # bound on row codes; a test lowers it
 _EMPTY = np.iinfo(np.int64).min  # below every code: marks a free hash slot
 _MASK = (1 << 64) - 1
 
@@ -85,7 +84,8 @@ class _CodeSet:
 
     Each code sits in one of two slots, picked by two multiplicative
     hashes, so a lookup is two gathers and two compares, with no search.
-    ``find`` gives ``1 +`` the slot holding a code, or 0 when absent.
+    ``find`` gives ``1 +`` the slot holding a code, or 0 when absent, so
+    every result lies below ``bound``.
     """
 
     def __init__(self, codes: np.ndarray):
@@ -99,6 +99,7 @@ class _CodeSet:
                 break
             bits += 1
         self.size = 1 << bits
+        self.bound = 2 * self.size + 1
         self.shift = np.uint64(64 - bits)
         self.mults = [np.uint64(m) for m in mults]
         self.table = np.array(table, dtype=np.int64)
@@ -135,43 +136,6 @@ class _CodeSet:
         ).astype(np.int64)
 
 
-class _RowCodes:
-    """Exact int64 codes of sorted vertex rows, and the set of B's codes.
-
-    A row ``(t_0, ..., t_{k-1})`` of ids in ``[-1, base - 1)`` is folded as
-    base-``base`` digits, which is injective; ``-1`` (unmatched) is a digit
-    no B row has, so rows with an unmatched vertex never match.  Where the
-    next fold could pass ``KEY_LIMIT``, the prefix codes are first replaced
-    by their 1-based slot among B's distinct prefixes (0 when B lacks one),
-    which keeps the codes exact at any size.
-    """
-
-    def __init__(self, rows_b: np.ndarray, base: int):
-        self.base = base
-        self.tables = []
-        cols = rows_b.T
-        code, top = cols[0], base
-        for col in cols[1:]:
-            table = None
-            if top * base + base > KEY_LIMIT:
-                table = _CodeSet(np.unique(code))
-                code = table.find(code)
-                top = 2 * table.size
-            self.tables.append(table)
-            code = code * base + col
-            top = top * base + base
-        self.keys = _CodeSet(np.unique(code))
-
-    def contains(self, cols: list) -> np.ndarray:
-        """Whether each sorted row, given as ``k`` columns, is a row of B."""
-        code = cols[0]
-        for table, col in zip(self.tables, cols[1:]):
-            if table is not None:
-                code = table.find(code)
-            code = code * self.base + col
-        return self.keys.contains(code)
-
-
 class _Layer:
     """The A rows of one kind (hyperedges or edges) scored against B.
 
@@ -179,6 +143,8 @@ class _Layer:
     state.  ``cols`` holds the ``k`` columns of A's rows as separate arrays,
     since 1-D gathers are several times faster than 2-D ones.  ``ok[e]`` is
     1.0 when A row ``e`` maps onto a B row under the matching, else 0.0.
+    ``base`` exceeds B's ids by one, so an unmatched vertex (-1) makes a
+    row code no B row has.
     """
 
     def __init__(self, tensor_a: MotifTensor, rows_b: np.ndarray, base: int, match_a):
@@ -189,7 +155,7 @@ class _Layer:
         self.start = np.append(indptr[:-1], 0)
         self.count = np.append(np.diff(indptr), 0)
         self.marked = np.zeros(tensor_a.nnz, dtype=bool)
-        self.codes = _RowCodes(rows_b, base)
+        self.codes = RowCodes(rows_b, base, _CodeSet)
         self.network = [
             (a, a + 1) for top in range(tensor_a.order - 1, 0, -1) for a in range(top)
         ]
@@ -300,9 +266,9 @@ def local_search(
     motifs while strictly increasing edges aligned; when the candidate is
     already matched the two pairs exchange partners and the combined effect
     is scored.  Sweeps repeat until no change or ``max_sweeps``.  All
-    candidates on one side of a pair are scored in one vectorized pass, and
-    the first improving one in candidate order is applied.  ``stats``, when
-    given, receives the work counters.
+    candidates of a pair, B side first, are scored in one vectorized pass,
+    and the first improving one in candidate order is applied.  ``stats``,
+    when given, receives the work counters.
     """
     if stats is None:
         stats = RefineStats()
@@ -367,11 +333,14 @@ def _improve_pair(state, stats, i, ip, cands_a, cands_b) -> bool:
 
     A B-side candidate ``jp`` maps ``i`` to ``jp`` and the A vertex matched
     to ``jp``, if any, to ``ip``; an A-side candidate ``j`` exchanges the
-    partners of ``i`` and ``j``.
+    partners of ``i`` and ``j``.  Both sides are scored in one pass, the B
+    candidates followed by the A candidates; nothing changes until a swap
+    is applied, so the first improvement in that order is the one a pass
+    per side finds.
     """
-    return _apply_first(state, stats, i, ip, cands_b, state.match_b[cands_b]) or (
-        _apply_first(state, stats, i, ip, state.match_a[cands_a], cands_a)
-    )
+    x = np.concatenate((cands_b, state.match_a[cands_a]))
+    j = np.concatenate((state.match_b[cands_b], cands_a))
+    return _apply_first(state, stats, i, ip, x, j)
 
 
 def _apply_first(state, stats, i, ip, x, j) -> bool:

@@ -2,10 +2,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
+from tenalign import graphs
 from tenalign.graphs import (
+    MAX_MOTIF,
     Graph,
+    RowCodes,
     clique_tensor,
     enumerate_cliques,
     load_edge_list,
@@ -21,9 +26,48 @@ def complete_graph(n):
 def brute_force_cliques(graph, k):
     out = []
     for subset in combinations(range(graph.n), k):
-        if all(graph.has_edge(u, v) for u, v in combinations(subset, 2)):
+        if all(pair in graph.edge_set for pair in combinations(subset, 2)):
             out.append(subset)
     return out
+
+
+def recursive_cliques(graph, k):
+    """The former recursive ordered-extension enumerator (test oracle)."""
+    if k == 2:
+        return graph.edges.copy()
+    adj = graph.adjacency
+    out = []
+    prefix = np.empty(k, dtype=np.int64)
+
+    def extend(depth, cands):
+        if depth == k - 1:
+            for v in cands:
+                prefix[depth] = v
+                out.append(tuple(prefix))
+            return
+        for i, v in enumerate(cands):
+            higher = cands[i + 1:]
+            if higher.size + depth + 1 < k:
+                break
+            prefix[depth] = v
+            nxt = higher[np.isin(higher, adj[v], assume_unique=True)]
+            if nxt.size + depth + 1 >= k:
+                extend(depth + 1, nxt)
+
+    for u in range(graph.n):
+        neigh = adj[u]
+        higher = neigh[neigh > u]
+        if higher.size >= k - 1:
+            prefix[0] = u
+            extend(1, higher)
+    return np.asarray(out, dtype=np.int64).reshape(-1, k)
+
+
+def assert_join_equals_recursion(graph):
+    for k in range(3, MAX_MOTIF + 1):
+        got = enumerate_cliques(graph, k)
+        want = recursive_cliques(graph, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (graph, k)
 
 
 class TestGraph:
@@ -95,7 +139,7 @@ class TestEnumeration:
             (u, v)
             for u in range(12)
             for v in range(u + 1, 12)
-            if not g.has_edge(u, v)
+            if (u, v) not in g.edge_set
         ]
         u, v = non_edges[0]
         bigger = Graph.from_edges(12, list(map(tuple, g.edges.tolist())) + [(u, v)])
@@ -109,6 +153,66 @@ class TestEnumeration:
     def test_size_range(self, k):
         with pytest.raises(ValueError):
             enumerate_cliques(complete_graph(4), k)
+
+
+class TestCliqueJoinOracle:
+    """The level-wise join against the recursion it replaced, k = 3..MAX_MOTIF."""
+
+    @pytest.mark.parametrize("n", [0, 1, 9])
+    def test_edgeless(self, n):
+        assert_join_equals_recursion(Graph(n, np.empty((0, 2), dtype=np.int64)))
+
+    @pytest.mark.parametrize("n", [2, 5, 11])
+    def test_complete(self, n):
+        assert_join_equals_recursion(complete_graph(n))
+
+    @pytest.mark.parametrize(
+        "n,p,seed", [(12, 0.6, 1), (40, 0.5, 2), (60, 0.3, 3), (120, 0.1, 4), (200, 0.08, 5)]
+    )
+    def test_random(self, n, p, seed):
+        assert_join_equals_recursion(random_graph(n, p, np.random.default_rng(seed)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 16).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))),
+            )
+        )
+    )
+    def test_drawn_graph(self, drawn):
+        n, raw = drawn
+        assert_join_equals_recursion(Graph.from_edges(n, raw if n else [], warn_self_loops=False))
+
+
+def set_member_oracle(table, rows):
+    keys = set(map(tuple, np.asarray(table).tolist()))
+    return np.array([tuple(r) in keys for r in np.asarray(rows).tolist()], dtype=bool)
+
+
+class TestRowCodes:
+    def test_matches_set_lookup(self, rng):
+        table = np.unique(rng.integers(0, 7, size=(40, 3)), axis=0)
+        rows = rng.integers(0, 7, size=(200, 3))
+        got = RowCodes(table, 7).contains(rows.T)
+        assert np.array_equal(got, set_member_oracle(table, rows))
+
+    def test_empty_table(self):
+        rows = np.array([[0, 1], [1, 2]])
+        got = RowCodes(np.empty((0, 2), dtype=np.int64), 3).contains(rows.T)
+        assert got.tolist() == [False, False]
+
+    @pytest.mark.parametrize("limit", [1, 5_000, 2**20])
+    def test_prefix_sets_keep_codes_exact(self, limit, rng, monkeypatch):
+        # a low code limit makes some or all folds first look up the prefixes
+        base = 60
+        table = np.unique(np.sort(rng.integers(0, base, size=(300, 5)), axis=1), axis=0)
+        rows = np.concatenate((table[::3], np.sort(rng.integers(0, base, size=(300, 5)), axis=1)))
+        monkeypatch.setattr(graphs, "CODE_LIMIT", limit)
+        got = RowCodes(table, base).contains(rows.T)
+        assert np.array_equal(got, set_member_oracle(table, rows))
+        assert got[: table[::3].shape[0]].all()
 
 
 class TestCliqueTensor:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenalign import refine
+from tenalign import graphs, refine
 from tenalign.align import AlignOptions, FactorPair, lambda_tame
 from tenalign.graphs import Graph, clique_tensor, nearest_rows
 from tenalign.matching import Matching
@@ -262,7 +262,7 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("limit", [1, 2000])
     def test_compressed_prefix_codes(self, monkeypatch, limit):
         # a tiny code limit makes every fold of the row codes compress first
-        monkeypatch.setattr(refine, "KEY_LIMIT", limit)
+        monkeypatch.setattr(graphs, "CODE_LIMIT", limit)
         args = lambda_tame_problem(40, 4, "er", {"p": 0.3}, order=4)
         assert_same_as_oracle(*args, RefineOptions(max_sweeps=3))
 

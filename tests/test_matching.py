@@ -3,17 +3,53 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from conftest import random_motif
+from conftest import random_graph, random_motif
 from tenalign.errors import NumericalFailureError
-from tenalign.graphs import Graph
+from tenalign.graphs import Graph, clique_tensor
 from tenalign.matching import (
     Matching,
     accuracy,
     edges_aligned,
-    greedy_matching,
     max_weight_matching,
     motifs_aligned,
 )
+from tenalign.tensors import MotifTensor
+
+
+def greedy_matching(X):
+    """Greedy matching by descending entry; a lower bound (test oracle)."""
+    X = np.asarray(X, dtype=np.float64)
+    m, n = X.shape
+    order = np.argsort(X, axis=None, kind="stable")[::-1]
+    used_r = np.zeros(m, dtype=bool)
+    used_c = np.zeros(n, dtype=bool)
+    pairs = []
+    weight = 0.0
+    for flat in order:
+        i, j = divmod(int(flat), n)
+        if X[i, j] <= 0:
+            break
+        if not used_r[i] and not used_c[j]:
+            used_r[i] = used_c[j] = True
+            pairs.append((i, j))
+            weight += float(X[i, j])
+    return Matching(m, n, pairs, weight)
+
+
+def set_count(matching, rows_a, rows_b):
+    """The former aligned count through a Python set of B's rows (oracle)."""
+    if rows_a.shape[0] == 0 or len(matching) == 0:
+        return 0
+    images = matching.row_map()[rows_a]
+    images = np.sort(images[np.all(images >= 0, axis=1)], axis=1)
+    b_keys = {tuple(row) for row in rows_b.tolist()}
+    return sum(1 for row in images.tolist() if tuple(row) in b_keys)
+
+
+def random_matching(n_a, n_b, size, rng):
+    rows = rng.permutation(n_a)[:size]
+    cols = rng.permutation(n_b)[:size]
+    return Matching(n_a, n_b, list(zip(rows.tolist(), cols.tolist())))
 
 
 def exhaustive_best_weight(X):
@@ -137,6 +173,56 @@ class TestScores:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         mt = Matching(4, 4, [(0, 1), (1, 0), (2, 2), (3, 3)])
         assert edges_aligned(mt, g, g) == 2  # (0,1)->(1,0) ok, (2,3) ok, (1,2)->(0,2) not
+
+
+class TestSortedCodeCounts:
+    """The sorted-code counts against the Python-set count they replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partial_matchings_on_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        ga, gb = random_graph(40, 0.4, rng), random_graph(45, 0.4, rng)
+        ta, tb = clique_tensor(ga, 4), clique_tensor(gb, 4)
+        for size in (0, 1, 20, 39, 40):
+            mt = random_matching(40, 45, size, rng)
+            assert motifs_aligned(mt, ta, tb) == set_count(mt, ta.hyperedges, tb.hyperedges)
+            assert edges_aligned(mt, ga, gb) == set_count(mt, ga.edges, gb.edges)
+
+    def test_order_nine_beyond_int64(self):
+        # 140**9 > 2**63, so the 9-digit codes must go through prefix sets
+        rng = np.random.default_rng(9)
+        dim = 140
+        assert dim ** 9 > np.iinfo(np.int64).max
+        rows_a = np.unique(np.sort(rng.choice(dim, size=(400, 9)), axis=1), axis=0)
+        rows_a = rows_a[np.all(np.diff(rows_a, axis=1) > 0, axis=1)]
+        perm = rng.permutation(dim)
+        rows_b = np.sort(perm[rows_a], axis=1)
+        rows_b[::3, -1] = np.maximum(rows_b[::3, -1], dim - 1)  # ids at the top
+        rows_b = np.unique(rows_b, axis=0)
+        rows_b = rows_b[np.all(np.diff(rows_b, axis=1) > 0, axis=1)]
+        ta = MotifTensor(9, dim, rows_a, np.ones(rows_a.shape[0]))
+        tb = MotifTensor(9, dim, rows_b, np.ones(rows_b.shape[0]))
+        counts = []
+        for size in (dim, dim - 1, dim // 2):
+            keep = np.sort(rng.permutation(dim)[:size])
+            mt = Matching(dim, dim, list(zip(keep.tolist(), perm[keep].tolist())))
+            counts.append(motifs_aligned(mt, ta, tb))
+            assert counts[-1] == set_count(mt, ta.hyperedges, tb.hyperedges)
+        assert 0 < counts[0] < ta.nnz  # some images are B rows, some are not
+
+    def test_order_nine_codes_cannot_wrap(self):
+        # at dim 164 these rows' base-164 codes differ by exactly 2**64, so a
+        # fold that wrapped around in int64 would find ``low`` among B's rows
+        dim = 164
+        low = [0, 1, 22, 23, 24, 31, 32, 82, 123]
+        high = [35, 42, 43, 93, 128, 129, 137, 138, 139]
+        fold = lambda row: sum(v * dim ** (8 - c) for c, v in enumerate(row))  # noqa: E731
+        assert fold(high) - fold(low) == 2**64
+        ta = MotifTensor.from_hyperedges(9, dim, [low, high])
+        tb = MotifTensor.from_hyperedges(9, dim, [high])
+        identity = Matching(dim, dim, [(i, i) for i in range(dim)])
+        assert motifs_aligned(identity, ta, tb) == 1
+        assert motifs_aligned(identity, tb, ta) == 1
 
 
 class TestAccuracy:
