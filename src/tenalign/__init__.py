@@ -16,7 +16,6 @@ from .align import (
     FactorPair,
     lambda_tame,
     lowrank_tame,
-    objective_value,
     rank_reveal,
     tame,
 )
@@ -25,7 +24,6 @@ from .eigen import (
     EigenPair,
     dominant_eigen,
     spectrum_sample,
-    sshopm,
     verify_decoupling,
 )
 from .errors import (
@@ -53,8 +51,8 @@ from .matching import (
     max_weight_matching,
     motifs_aligned,
 )
-from .refine import RefineOptions, RefineStats, knn_embedding_neighbors, local_search
+from .refine import RefineOptions, RefineStats, local_search
 from .synth import AlignmentProblem, duplication_noise, er_noise, make_problem, permute, rgg
-from .tensors import MotifTensor, load_tensor, save_tensor, ttv_multi, ttv_same
+from .tensors import MotifTensor, load_tensor, save_tensor, ttv_same
 
 __version__ = "0.1.0"

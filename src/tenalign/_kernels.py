@@ -22,7 +22,6 @@ from scipy.sparse import csr_matrix
 
 __all__ = [
     "implicit_pair_contract",
-    "ttv_column_block",
     "ttv_tuples",
     "using_numba",
 ]
@@ -152,17 +151,3 @@ def ttv_tuples(E, w, M, dim, digits):
         out[:, lo:lo + block] = S @ B
     return out
 
-
-def ttv_column_block(E, w, M, dim, start, stop):
-    """Multi-vector contractions for a lexicographic range of column tuples.
-
-    Column ``t`` of the result (for tuple index ``start + t``) contracts with
-    the factor columns selected by the ``(k-1)``-digit base-r expansion of
-    the tuple index; see :func:`ttv_tuples`.  Ranges let callers bound memory.
-    """
-    k = E.shape[1]
-    r = M.shape[1]
-    digits = np.stack(
-        np.unravel_index(np.arange(start, stop), (r,) * (k - 1)), axis=1
-    )
-    return ttv_tuples(E, w, M, dim, digits)

@@ -29,17 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kron
+from ._kernels import ttv_tuples
 from .errors import (
     DegenerateIterateError,
     DegenerateProblemError,
     NumericalFailureError,
 )
-from .kron import (
-    KronPair,
-    expand_column_block,
-    implicit_kron_ttv,
-    lowrank_kron_ttv,
-)
+from .kron import KronPair, implicit_kron_ttv, lowrank_kron_ttv
 from .matching import Matching, max_weight_matching, motifs_aligned
 from .tensors import MotifTensor, ttv_same
 
@@ -53,7 +49,6 @@ __all__ = [
     "lambda_tame",
     "rank_reveal",
     "truncated_svd",
-    "objective_value",
 ]
 
 TRUNC_TOL = 1e-12  # singular values at or below this times the largest drop
@@ -274,11 +269,11 @@ def tame(
     )
 
 
-def rank_reveal(U: np.ndarray, V: np.ndarray, trunc_tol: float = TRUNC_TOL):
+def rank_reveal(U: np.ndarray, V: np.ndarray):
     """Exact low-rank truncation of ``U V^T``.
 
     QR-factors both sides, takes the SVD of the small core ``R_U R_V^T``,
-    drops singular values at or below ``trunc_tol`` relative to the largest,
+    drops singular values at or below ``TRUNC_TOL`` relative to the largest,
     and returns the reduced :class:`FactorPair` together with the full
     pre-truncation singular values.
     """
@@ -291,7 +286,7 @@ def rank_reveal(U: np.ndarray, V: np.ndarray, trunc_tol: float = TRUNC_TOL):
     core_u, sigma, core_vt = np.linalg.svd(ru @ rv.T)
     if sigma.size == 0 or sigma[0] <= 0 or not np.isfinite(sigma[0]):
         raise DegenerateIterateError("rank reveal found no nonzero direction")
-    keep = int(np.sum(sigma > trunc_tol * sigma[0]))
+    keep = int(np.sum(sigma > TRUNC_TOL * sigma[0]))
     new_u = qu @ core_u[:, :keep]
     new_v = qv @ (core_vt[:keep].T * sigma[:keep])
     return FactorPair(new_u, new_v), sigma
@@ -323,15 +318,19 @@ def _lam_estimate(prev: FactorPair, u_exp: np.ndarray, v_exp: np.ndarray) -> flo
 
 
 def _accumulated_contraction(pair, factors):
-    """Dense product-tensor contraction accumulated from column batches."""
+    """Dense product-tensor contraction accumulated from column batches.
+
+    The batches walk the ``r^{k-1}`` factor-column tuples in lexicographic
+    order, ``ACCUM_BATCH`` at a time.
+    """
     k = pair.order
-    r = factors.rank
-    total = r ** (k - 1)
+    digits = np.indices((factors.rank,) * (k - 1)).reshape(k - 1, -1).T
+    a, b = pair.a, pair.b
     X = np.zeros((pair.dim_a, pair.dim_b))
-    for start in range(0, total, ACCUM_BATCH):
-        stop = min(start + ACCUM_BATCH, total)
-        ub = expand_column_block(pair.a, factors.u, start, stop)
-        vb = expand_column_block(pair.b, factors.v, start, stop)
+    for lo in range(0, digits.shape[0], ACCUM_BATCH):
+        batch = digits[lo:lo + ACCUM_BATCH]
+        ub = ttv_tuples(a.hyperedges, a.weights, factors.u, a.dim, batch)
+        vb = ttv_tuples(b.hyperedges, b.weights, factors.v, b.dim, batch)
         X += ub @ vb.T
     return X
 
@@ -532,24 +531,3 @@ def lambda_tame(
         factors=factors,
     )
 
-
-def objective_value(
-    X: np.ndarray,
-    W: np.ndarray,
-    tensor_a: MotifTensor,
-    tensor_b: MotifTensor,
-    alpha: float,
-) -> float:
-    """Alignment objective ``(1 - alpha) tr(W^T X) + alpha / k! * <vec(X), product contraction>``.
-
-    The ``k!`` divisor removes the symmetric-orientation multiplicity so the
-    tensor term counts each aligned motif once for a 0/1 matching matrix.
-    """
-    pair = KronPair(tensor_a, tensor_b)
-    X = np.asarray(X, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    if X.shape != (pair.dim_a, pair.dim_b) or W.shape != X.shape:
-        raise DegenerateProblemError("shape mismatch between X, W, and tensors")
-    k = pair.order
-    tensor_term = float(np.sum(X * implicit_kron_ttv(pair, X)))
-    return float((1.0 - alpha) * np.sum(W * X) + alpha / math.factorial(k) * tensor_term)

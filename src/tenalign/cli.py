@@ -143,10 +143,19 @@ def _run_method(method, tensor_a, tensor_b, opts):
     raise TenalignError(f"unknown method {method!r}")
 
 
+def _knn(raw: str):
+    """The ``--knn`` value: ``"auto"`` or an integer."""
+    if raw == "auto":
+        return raw
+    try:
+        return int(raw)
+    except ValueError:
+        raise TenalignError(f"--knn must be an integer or 'auto', got {raw!r}") from None
+
+
 def _align_once(graph_a, graph_b, truth, args, method, refine, seed):
     t_start = time.perf_counter()
-    knn = args.knn if args.knn == "auto" else int(args.knn)
-    ropts = RefineOptions(k_neighbors=knn, max_sweeps=args.sweeps)
+    ropts = RefineOptions(k_neighbors=_knn(args.knn), max_sweeps=args.sweeps)
     t0 = time.perf_counter()
     tensor_a, tensor_b, k = _tensors_for(graph_a, graph_b, args)
     tensor_seconds = time.perf_counter() - t0

@@ -24,9 +24,10 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .errors import BudgetExceededError, DegenerateIterateError
+from . import kron
+from .errors import BudgetExceededError
 from .kron import KronPair, explicit_kron
-from .tensors import DENSE_BUDGET, MotifTensor
+from .tensors import MotifTensor
 
 __all__ = [
     "EigenPair",
@@ -34,11 +35,15 @@ __all__ = [
     "SymMatvec",
     "symmetrize",
     "random_symmetric_tensor",
-    "sshopm",
     "dominant_eigen",
     "spectrum_sample",
     "verify_decoupling",
 ]
+
+POWER_MAX_ITER = 300  # power steps per start in dominant_eigen; twice that after rescaling
+BASE_SHIFT = 1.0  # exploring shifts of dominant_eigen are 0 and +-BASE_SHIFT
+SPECTRUM_TOL = 1e-10  # Newton acceptance tolerance of spectrum_sample
+DEDUP_TOL = 1e-6  # spectrum_sample merges eigenvalues closer than this
 
 
 @dataclass(frozen=True)
@@ -198,53 +203,8 @@ def _as_sym(tensor) -> SymMatvec:
     if isinstance(tensor, SymMatvec):
         return tensor
     if isinstance(tensor, MotifTensor):
-        tensor = tensor.to_dense(DENSE_BUDGET)
+        tensor = tensor.to_dense()
     return SymMatvec(tensor)
-
-
-def sshopm(
-    tensor,
-    shift: float = 0.0,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> EigenPair:
-    """Shifted symmetric higher-order power iteration from a single start.
-
-    Repeats ``x <- normalize(T x^{k-1} + shift * x)`` until the Rayleigh
-    estimate ``<x, T x^{k-1}>`` changes by less than ``tol``.  A zero update
-    vector raises :class:`DegenerateIterateError`; running out of iterations
-    returns the current pair flagged as non-converged.
-    """
-    sym = _as_sym(tensor)
-    if x0 is None:
-        raise ValueError("an initial vector x0 is required")
-    x = np.asarray(x0, dtype=np.float64).reshape(-1)
-    norm = np.linalg.norm(x)
-    if norm == 0:
-        raise DegenerateIterateError("starting vector has zero norm")
-    x = x / norm
-    lam_prev = np.inf
-    lam = np.inf
-    its = 0
-    for its in range(1, max_iter + 1):
-        c = sym.matvec(x)
-        lam = float(np.dot(x, c))
-        if abs(lam - lam_prev) < tol:
-            residual = float(np.linalg.norm(c - lam * x))
-            return EigenPair(lam, x, residual, True, its)
-        lam_prev = lam
-        y = c + shift * x
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            raise DegenerateIterateError(
-                f"zero iterate encountered at iteration {its}"
-            )
-        x = y / norm
-    c = sym.matvec(x)
-    lam = float(np.dot(x, c))
-    residual = float(np.linalg.norm(c - lam * x))
-    return EigenPair(lam, x, residual, False, its)
 
 
 def _power_batch(apply_fn, X0, shift, tol, max_iter):
@@ -401,7 +361,30 @@ def _run_power_configs(sym, configs, starts, tol, max_iter, candidates, extras):
         extras.extend((float(lam[j]), xs[:, j]) for j in unconv)
 
 
-def _dominant_dense(sym, restarts, seed, tol, max_iter, base_shift):
+def dominant_eigen(
+    tensor,
+    restarts: int = 200,
+    seed: int = 0,
+    tol: float = 1e-10,
+) -> EigenPair:
+    """Dominant Z-eigenpair by multi-restart shifted power iteration.
+
+    The ``restarts`` random unit starts are split across three phases:
+    power iteration with shifts ``{0, +-BASE_SHIFT}`` applied to ``T`` and,
+    for even order, to ``-T`` (odd-order spectra are symmetric under
+    negation, so the extra sign adds nothing there); a Newton-corrector
+    sweep; and power iteration again with shifts rescaled to the largest
+    magnitude found so far, which stabilizes maxima that a small fixed shift
+    leaves repelling.  Pooled candidates are deduplicated, polished by
+    Newton correction, and the pair of largest magnitude wins, with ties
+    broken toward the larger eigenvalue and then the lexicographically
+    larger vector.  Like :func:`spectrum_sample`, it densifies a
+    :class:`MotifTensor` under ``DENSE_BUDGET`` and raises
+    :class:`BudgetExceededError` for a larger one.
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    sym = _as_sym(tensor)
     n, k = sym.dim, sym.order
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((n, restarts))
@@ -416,9 +399,9 @@ def _dominant_dense(sym, restarts, seed, tol, max_iter, base_shift):
     n_newton = max(restarts // 4, 1) if restarts >= 4 else 0
     candidates = []
     extras = []
-    explore = [(s, b) for s in signs for b in (0.0, base_shift, -base_shift)]
+    explore = [(s, b) for s in signs for b in (0.0, BASE_SHIFT, -BASE_SHIFT)]
     _run_power_configs(
-        sym, explore, starts[:, :n_explore], tol, max_iter, candidates, extras
+        sym, explore, starts[:, :n_explore], tol, POWER_MAX_ITER, candidates, extras
     )
     if n_newton:
         for lam, x, _res in _newton_candidates(
@@ -432,10 +415,10 @@ def _dominant_dense(sym, restarts, seed, tol, max_iter, base_shift):
         scaled = [
             (s, b)
             for s in signs
-            for b in (base_shift + 1.2 * lam_hat, base_shift + 3.0 * lam_hat)
+            for b in (BASE_SHIFT + 1.2 * lam_hat, BASE_SHIFT + 3.0 * lam_hat)
         ]
         _run_power_configs(
-            sym, scaled, rest, tol, 2 * max_iter, candidates, extras
+            sym, scaled, rest, tol, 2 * POWER_MAX_ITER, candidates, extras
         )
 
     pool = _distinct_candidates(candidates, limit=24) + extras[:4]
@@ -495,48 +478,14 @@ def _select_best(pairs, tie_tol=1e-8):
     return max(group, key=lambda p: tuple(np.round(p.vector, 8)))
 
 
-def dominant_eigen(
-    tensor,
-    restarts: int = 200,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 300,
-    base_shift: float = 1.0,
-) -> EigenPair:
-    """Dominant Z-eigenpair by multi-restart shifted power iteration.
-
-    The ``restarts`` random unit starts are split across three phases:
-    power iteration with shifts ``{0, +-base_shift}`` applied to ``T`` and,
-    for even order, to ``-T`` (odd-order spectra are symmetric under
-    negation, so the extra sign adds nothing there); a Newton-corrector
-    sweep; and power iteration again with shifts rescaled to the largest
-    magnitude found so far, which stabilizes maxima that a small fixed shift
-    leaves repelling.  Pooled candidates are deduplicated, polished by
-    Newton correction, and the pair of largest magnitude wins, with ties
-    broken toward the larger eigenvalue and then the lexicographically
-    larger vector.  Like :func:`sshopm` and :func:`spectrum_sample`, it
-    densifies a :class:`MotifTensor` under ``DENSE_BUDGET`` and raises
-    :class:`BudgetExceededError` for a larger one.
-    """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    return _dominant_dense(_as_sym(tensor), restarts, seed, tol, max_iter, base_shift)
-
-
-def spectrum_sample(
-    tensor,
-    restarts: int = 2000,
-    seed: int = 0,
-    tol: float = 1e-10,
-    dedup_tol: float = 1e-6,
-) -> list[EigenPair]:
+def spectrum_sample(tensor, restarts: int = 2000, seed: int = 0) -> list[EigenPair]:
     """Sample distinct Z-eigenvalues of a small tensor, largest |value| first.
 
     Runs a batched Newton corrector on the eigenpair equations from random
     unit-sphere starts.  Unlike shifted power iteration, Newton converges to
     any regular stationary pair in whose basin a start lands, including
     saddle-type pairs, so repeated sampling recovers small spectra.
-    Converged eigenvalues are deduplicated within ``dedup_tol``; odd-order
+    Converged eigenvalues are deduplicated within ``DEDUP_TOL``; odd-order
     pairs are reported with nonnegative eigenvalue (their negations are
     eigenpairs by sign symmetry).
     """
@@ -546,13 +495,13 @@ def spectrum_sample(
     X = rng.standard_normal((sym.dim, restarts))
     X /= np.linalg.norm(X, axis=0)
     canonical = []
-    for lam_v, x, res in _newton_candidates(sym, X, tol):
+    for lam_v, x, res in _newton_candidates(sym, X, SPECTRUM_TOL):
         lam_c, x_c = _canonical(lam_v, x, k)
         canonical.append((lam_c, x_c, res))
     reps: list[EigenPair] = []
     # smallest residual represents its eigenvalue cluster
     for lam_v, x, res in sorted(canonical, key=lambda p: p[2]):
-        if all(abs(lam_v - r.eigenvalue) > dedup_tol for r in reps):
+        if all(abs(lam_v - r.eigenvalue) > DEDUP_TOL for r in reps):
             reps.append(EigenPair(lam_v, x, res, True))
     reps.sort(key=lambda p: (-abs(p.eigenvalue), -p.eigenvalue))
     return reps
@@ -564,26 +513,26 @@ def verify_decoupling(
     restarts: int = 5000,
     seed: int = 0,
     tol: float = 1e-10,
-    max_iter: int = 300,
-    budget: int = DENSE_BUDGET,
 ) -> DecouplingReport:
     """Compare dominant pairs of two tensors and of their product tensor.
 
     All three pairs are computed independently (the product side runs on the
     explicitly materialized product tensor), so the report measures how well
-    the product's dominant pair factorizes rather than assuming it does.
+    the product's dominant pair factorizes rather than assuming it does.  A
+    product tensor above ``kron.EXPLICIT_BUDGET`` entries raises
+    :class:`BudgetExceededError` before any eigenpair is computed.
     """
     pair = KronPair(tensor_a, tensor_b)
     size = (pair.dim_a * pair.dim_b) ** pair.order
-    if size > budget:
+    if size > kron.EXPLICIT_BUDGET:
         raise BudgetExceededError(
-            f"product tensor would have {size} entries (budget {budget})"
+            f"product tensor would have {size} entries (budget {kron.EXPLICIT_BUDGET})"
         )
     seeds = np.random.SeedSequence(seed).spawn(3)
-    dom_a = dominant_eigen(tensor_a, restarts, seeds[0], tol, max_iter)
-    dom_b = dominant_eigen(tensor_b, restarts, seeds[1], tol, max_iter)
-    dense_kron = explicit_kron(pair, budget)
-    dom_k = dominant_eigen(dense_kron, restarts, seeds[2], tol, max_iter)
+    dom_a = dominant_eigen(tensor_a, restarts, seeds[0], tol)
+    dom_b = dominant_eigen(tensor_b, restarts, seeds[1], tol)
+    dense_kron = explicit_kron(pair)
+    dom_k = dominant_eigen(dense_kron, restarts, seeds[2], tol)
     eig_gap = abs(dom_k.eigenvalue - dom_a.eigenvalue * dom_b.eigenvalue)
     joint = np.kron(dom_b.vector, dom_a.vector)
     vec_gap = max(0.0, 1.0 - abs(float(np.dot(dom_k.vector, joint))))

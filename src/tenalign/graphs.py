@@ -55,8 +55,9 @@ class Graph:
         object.__setattr__(self, "edges", edges)
 
     @classmethod
-    def from_edges(cls, n, raw_edges, warn_self_loops=True):
-        """Normalize an edge iterable: sort endpoints, drop self-loops, dedupe."""
+    def from_edges(cls, n, raw_edges):
+        """Normalize an edge iterable: sort endpoints, drop self-loops with a
+        warning, dedupe."""
         cleaned = set()
         dropped = 0
         for u, v in raw_edges:
@@ -65,7 +66,7 @@ class Graph:
                 dropped += 1
                 continue
             cleaned.add((min(u, v), max(u, v)))
-        if dropped and warn_self_loops:
+        if dropped:
             warnings.warn(f"dropped {dropped} self-loop(s)", stacklevel=2)
         edges = np.array(sorted(cleaned), dtype=np.int64).reshape(-1, 2)
         return cls(n, edges)
@@ -82,10 +83,6 @@ class Graph:
         neigh = neigh[np.lexsort((neigh, ends))]
         neigh.setflags(write=False)
         return np.split(neigh, np.cumsum(self.degree())[:-1]) if self.n else []
-
-    @cached_property
-    def edge_set(self) -> frozenset:
-        return frozenset(map(tuple, self.edges.tolist()))
 
     def degree(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64, copy=False)

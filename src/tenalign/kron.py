@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import implicit_pair_contract, ttv_column_block, ttv_tuples
+from ._kernels import implicit_pair_contract, ttv_tuples
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -29,16 +29,14 @@ __all__ = [
     "KronPair",
     "vec",
     "unvec",
-    "interleave",
     "implicit_kron_ttv",
     "rank1_kron_ttv",
     "lowrank_kron_ttv",
-    "expand_column_block",
     "explicit_kron",
 ]
 
 COLUMN_CAP = 10_000  # max expansion columns r^(k-1), read at call time
-EXPLICIT_BUDGET = 4_000_000
+EXPLICIT_BUDGET = 4_000_000  # max entries of an explicit product tensor, read at call time
 
 
 @dataclass(frozen=True)
@@ -96,11 +94,6 @@ def unvec(x: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.asarray(x).reshape((m, n), order="F")
 
 
-def interleave(i: np.ndarray, ip: np.ndarray, m: int) -> np.ndarray:
-    """Map index pairs ``(i, i')`` to the joint 0-based index ``i + m * i'``."""
-    return np.asarray(i) + m * np.asarray(ip)
-
-
 def implicit_kron_ttv(pair: KronPair, X: np.ndarray) -> np.ndarray:
     """Contract ``k - 1`` modes of the product tensor with ``vec(X)``.
 
@@ -144,16 +137,6 @@ def rank1_kron_ttv(pair: KronPair, u: np.ndarray, v: np.ndarray, p: int):
     if v.shape != (pair.dim_b,):
         raise DimensionMismatchError("v must match the second tensor dimension")
     return _ttv(pair.a, u, p), _ttv(pair.b, v, p)
-
-
-def expand_column_block(
-    tensor: MotifTensor, M: np.ndarray, start: int, stop: int
-) -> np.ndarray:
-    """Contraction columns for tuple indices ``start..stop`` of one operand."""
-    return ttv_column_block(
-        tensor.hyperedges, tensor.weights, np.asarray(M, dtype=np.float64),
-        tensor.dim, start, stop,
-    )
 
 
 def lowrank_kron_ttv(pair: KronPair, U: np.ndarray, V: np.ndarray):
@@ -212,21 +195,23 @@ def _expand(tensor: MotifTensor, M: np.ndarray, digits, where) -> np.ndarray:
     return np.ascontiguousarray(cols[:, where])
 
 
-def explicit_kron(pair: KronPair, budget: int = EXPLICIT_BUDGET) -> np.ndarray:
+def explicit_kron(pair: KronPair) -> np.ndarray:
     """Materialize the product tensor densely (small-scale oracle only).
 
     Entry at the interleaved joint index equals the product of the operand
     entries; output is a dense order-``k`` array of dimension ``m * n``.
+    More than :data:`EXPLICIT_BUDGET` entries raise
+    :class:`BudgetExceededError`.
     """
     k = pair.order
     m, n = pair.dim_a, pair.dim_b
     size = (m * n) ** k
-    if size > budget:
+    if size > EXPLICIT_BUDGET:
         raise BudgetExceededError(
-            f"explicit product tensor would have {size} entries (budget {budget})"
+            f"explicit product tensor would have {size} entries (budget {EXPLICIT_BUDGET})"
         )
-    dense_a = pair.a.to_dense(budget) if isinstance(pair.a, MotifTensor) else np.asarray(pair.a, dtype=np.float64)
-    dense_b = pair.b.to_dense(budget) if isinstance(pair.b, MotifTensor) else np.asarray(pair.b, dtype=np.float64)
+    dense_a = pair.a.to_dense() if isinstance(pair.a, MotifTensor) else np.asarray(pair.a, dtype=np.float64)
+    dense_b = pair.b.to_dense() if isinstance(pair.b, MotifTensor) else np.asarray(pair.b, dtype=np.float64)
     # outer(B, A)[i', i] then pair up the axes as (i'_t, i_t) -> joint index
     out = np.multiply.outer(dense_b, dense_a)
     axes = []

@@ -28,7 +28,7 @@ from .graphs import Graph, RowCodes, nearest_rows
 from .matching import Matching
 from .tensors import MotifTensor
 
-__all__ = ["RefineOptions", "RefineStats", "knn_embedding_neighbors", "local_search"]
+__all__ = ["RefineOptions", "RefineStats", "local_search"]
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,6 @@ class RefineStats:
     sweeps: int = 0
     candidates_scored: int = 0
     swaps_accepted: int = 0
-
-
-def knn_embedding_neighbors(F: np.ndarray, row: int, k: int) -> np.ndarray:
-    """Indices of the ``k`` rows of ``F`` closest to ``F[row]`` (self excluded).
-
-    Exact brute-force distances; ties break toward the lower index.
-    """
-    n = np.shape(F)[0]
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
-    return nearest_rows(F, [row], k)[0]
 
 
 _EMPTY = np.iinfo(np.int64).min  # below every code: marks a free hash slot

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, nearest_rows
+from .graphs import Graph, RowCodes, nearest_rows
 
 __all__ = [
     "AlignmentProblem",
@@ -92,16 +92,17 @@ def er_noise(graph: Graph, p: float, seed=0) -> Graph:
     else:
         q = p * rho / (1.0 - rho)
     keep = rng.random(graph.num_edges) >= p
-    new_edges = {tuple(e) for e in graph.edges[keep].tolist()}
-    existing = graph.edge_set
+    edges = [graph.edges[keep]]
     if q > 0.0:
-        for u in range(n - 1):
-            draws = rng.random(n - u - 1)
-            for h in np.nonzero(draws < q)[0]:
-                pair = (u, u + 1 + int(h))
-                if pair not in existing:
-                    new_edges.add(pair)
-    return Graph(n, np.array(sorted(new_edges), dtype=np.int64).reshape(-1, 2))
+        # one coin per pair u < v in row order: pair (u, v) draws coin
+        # starts[u] + v - u - 1
+        hits = np.flatnonzero(rng.random(total_pairs) < q)
+        starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+        u = np.searchsorted(starts, hits, side="right") - 1
+        v = hits - starts[u] + u + 1
+        added = ~RowCodes(graph.edges, n).contains((u, v))
+        edges.append(np.column_stack((u[added], v[added])))
+    return Graph(n, np.concatenate(edges))
 
 
 def duplication_noise(graph: Graph, frac: float, p_edge: float, seed=0) -> Graph:

@@ -20,7 +20,6 @@ from itertools import permutations
 
 import numpy as np
 
-from ._kernels import ttv_tuples
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -31,13 +30,12 @@ from .errors import (
 __all__ = [
     "MotifTensor",
     "ttv_same",
-    "ttv_multi",
     "dense_ttv",
     "load_tensor",
     "save_tensor",
 ]
 
-DENSE_BUDGET = 4_000_000  # max number of entries a densified tensor may have
+DENSE_BUDGET = 4_000_000  # max number of entries a densified tensor may have, read at call time
 
 
 @dataclass(frozen=True)
@@ -115,12 +113,15 @@ class MotifTensor:
         np.cumsum(counts, out=indptr[1:])
         return indptr, ids[order]
 
-    def to_dense(self, budget: int = DENSE_BUDGET) -> np.ndarray:
-        """Materialize the full symmetric tensor as a dense array."""
+    def to_dense(self) -> np.ndarray:
+        """Materialize the full symmetric tensor as a dense array.
+
+        More than :data:`DENSE_BUDGET` entries raise :class:`BudgetExceededError`.
+        """
         size = self.dim**self.order
-        if size > budget:
+        if size > DENSE_BUDGET:
             raise BudgetExceededError(
-                f"dense tensor would have {size} entries (budget {budget})"
+                f"dense tensor would have {size} entries (budget {DENSE_BUDGET})"
             )
         dense = np.zeros((self.dim,) * self.order)
         if self.nnz:
@@ -184,28 +185,6 @@ def ttv_same(tensor: MotifTensor, x: np.ndarray, p: int):
     contrib = (math.factorial(k - 1) * w)[:, None] * _exclusive_products(vals)
     np.add.at(out, edges.ravel(), contrib.ravel())
     return out
-
-
-def ttv_multi(tensor: MotifTensor, xs) -> np.ndarray:
-    """Contract ``k - 1`` modes with (possibly distinct) vectors.
-
-    Entry ``i`` of the result sums, over hyperedges ``e`` containing ``i``
-    and over all bijections from the vectors to the other ``k - 1`` vertices
-    of ``e``, the product of assigned vector entries times the hyperedge
-    weight.  With identical vectors this reduces to ``ttv_same(..., k - 1)``.
-    The cost is ``(k-1)!`` terms per incident hyperedge.
-    """
-    k = tensor.order
-    xs = [_check_vector(tensor, x) for x in xs]
-    if not xs:
-        raise UnsupportedContractionError("at least one vector required")
-    if len(xs) != k - 1:
-        raise DimensionMismatchError(
-            f"{k - 1} vectors required for an order-{k} tensor, got {len(xs)}"
-        )
-    cols = np.column_stack(xs)
-    digits = [range(k - 1)]
-    return ttv_tuples(tensor.hyperedges, tensor.weights, cols, tensor.dim, digits)[:, 0]
 
 
 def dense_ttv(arr: np.ndarray, x: np.ndarray, p: int):

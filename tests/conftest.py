@@ -48,6 +48,11 @@ def random_graph(n, p, rng):
     return Graph.from_edges(n, edges)
 
 
+def edge_set(graph):
+    """The edges of ``graph`` as a set of ``(u, v)`` tuples, ``u < v``."""
+    return set(map(tuple, graph.edges.tolist()))
+
+
 def dense_contract(dense, x, p):
     """Oracle contraction of the leading p modes via tensordot."""
     out = np.asarray(dense, dtype=np.float64)

@@ -10,7 +10,6 @@ from tenalign.align import (
     FactorPair,
     lambda_tame,
     lowrank_tame,
-    objective_value,
     rank_reveal,
     tame,
 )
@@ -239,26 +238,6 @@ class TestLambdaTame:
         )
         with pytest.raises(DegenerateIterateError, match="iteration 1"):
             lambda_tame(t, t, AlignOptions(alpha=1.0, beta=0.0, max_iter=2))
-
-
-class TestObjective:
-    def test_zero_matrix(self, triangle):
-        assert objective_value(np.zeros((3, 3)), np.ones((3, 3)), triangle, triangle, 0.7) == 0.0
-
-    def test_exact_matching_counts_one_motif(self, triangle):
-        val = objective_value(np.eye(3), np.ones((3, 3)) / 9.0, triangle, triangle, 1.0)
-        assert val == pytest.approx(1.0)
-
-    def test_alpha_zero_reduces_to_prior_trace(self, triangle, rng):
-        W = rng.random((3, 3))
-        X = rng.random((3, 3))
-        assert objective_value(X, W, triangle, triangle, 0.0) == pytest.approx(
-            float(np.sum(W * X))
-        )
-
-    def test_shape_mismatch(self, triangle):
-        with pytest.raises(DegenerateProblemError):
-            objective_value(np.ones((3, 4)), np.ones((3, 4)), triangle, triangle, 0.5)
 
 
 def test_factor_pair_norm_matches_dense(rng):

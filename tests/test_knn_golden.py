@@ -13,7 +13,6 @@ import pytest
 
 from tenalign import graphs
 from tenalign.graphs import Graph, nearest_rows
-from tenalign.refine import knn_embedding_neighbors
 from tenalign.synth import rgg
 
 
@@ -91,7 +90,7 @@ def test_single_query_matches_table_on_ties(rng):
     F = tied_factors(30, 2, rng)
     table = knn_table_oracle(F.copy(), 6)
     for row in range(30):
-        assert knn_embedding_neighbors(F, row, 6).tolist() == table[row].tolist()
+        assert nearest_rows(F, [row], 6)[0].tolist() == table[row].tolist()
 
 
 def test_chunking_does_not_change_neighbours(monkeypatch, rng):

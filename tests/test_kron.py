@@ -14,7 +14,6 @@ from tenalign.kron import (
     KronPair,
     explicit_kron,
     implicit_kron_ttv,
-    interleave,
     lowrank_kron_ttv,
     rank1_kron_ttv,
     unvec,
@@ -95,6 +94,13 @@ def ttv_tuples_oracle(E, w, M, dim, digits):
     return out
 
 
+def column_block(E, w, M, dim, start, stop):
+    """Kernel columns for the lexicographic tuple indices ``start..stop``."""
+    shape = (M.shape[1],) * (E.shape[1] - 1)
+    digits = np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
+    return _kernels.ttv_tuples(E, w, M, dim, digits)
+
+
 def bits(x):
     return np.ascontiguousarray(x).view(np.int64)
 
@@ -107,12 +113,6 @@ def diagonal_tensor(dim, order):
 
 
 class TestIndexing:
-    def test_interleave_is_bijection(self):
-        m, n = 4, 5
-        i, ip = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
-        joint = interleave(i.ravel(), ip.ravel(), m)
-        assert sorted(joint.tolist()) == list(range(m * n))
-
     def test_vec_unvec_round_trip(self, rng):
         X = rng.standard_normal((3, 5))
         assert np.array_equal(unvec(vec(X), 3, 5), X)
@@ -138,9 +138,10 @@ class TestExplicit:
         assert int((dense != 0).sum()) == 36
         assert set(np.unique(dense)) == {0.0, 1.0}
 
-    def test_budget(self, triangle):
+    def test_budget(self, triangle, monkeypatch):
+        monkeypatch.setattr(kron, "EXPLICIT_BUDGET", 10)
         with pytest.raises(BudgetExceededError):
-            explicit_kron(KronPair(triangle, triangle), budget=10)
+            explicit_kron(KronPair(triangle, triangle))
 
     def test_order_mismatch(self, triangle):
         with pytest.raises(DimensionMismatchError):
@@ -280,8 +281,8 @@ class TestSymmetricExpansion:
         got = lowrank_kron_ttv(pair, U, V)
         full = r ** (k - 1)
         ref = (
-            kron.expand_column_block(pair.a, U, 0, full),
-            kron.expand_column_block(pair.b, V, 0, full),
+            column_block(pair.a.hyperedges, pair.a.weights, U, n, 0, full),
+            column_block(pair.b.hyperedges, pair.b.weights, V, n + 1, 0, full),
         )
         return got, ref
 
@@ -314,7 +315,7 @@ class TestLowRank:
                 total = r ** (k - 1)
                 for start, stop in ((0, total), (total // 3, total), (0, 0)):
                     args = (t.hyperedges, t.weights, M, n, start, stop)
-                    got = _kernels.ttv_column_block(*args)
+                    got = column_block(*args)
                     ref = column_block_oracle(*args)
                     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 

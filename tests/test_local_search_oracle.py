@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import edge_set
 from tenalign import graphs, refine
 from tenalign.align import AlignOptions, FactorPair, lambda_tame
 from tenalign.graphs import Graph, clique_tensor, nearest_rows
@@ -36,7 +37,7 @@ class OracleState:
             ids[indptr[v]:indptr[v + 1]].tolist() for v in range(self.m)
         ]
         self.a_edge_rows = [tuple(row) for row in graph_a.edges.tolist()]
-        self.b_edges = graph_b.edge_set
+        self.b_edges = edge_set(graph_b)
         self.e_inc = [[] for _ in range(self.m)]
         for eid, (u, v) in enumerate(self.a_edge_rows):
             self.e_inc[u].append(eid)

@@ -202,7 +202,15 @@ class TestAlignCommand:
         assert record["options"]["column_cap"] == 1
 
     @pytest.mark.parametrize(
-        "flag, value, message", [("--sweeps", "-1", "max_sweeps"), ("--knn", "0", "k_neighbors")]
+        "flag, value, message",
+        [
+            ("--sweeps", "-1", "max_sweeps"),
+            ("--knn", "0", "k_neighbors"),
+            pytest.param("--knn", "x", "--knn must be an integer or 'auto', got 'x'", id="--knn-x"),
+            pytest.param(
+                "--knn", "2.5", "--knn must be an integer or 'auto', got '2.5'", id="--knn-2.5"
+            ),
+        ],
     )
     def test_refine_flags_rejected(self, problem_files, tmp_path, capsys, flag, value, message):
         out = str(tmp_path / "r.json")

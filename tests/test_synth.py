@@ -1,8 +1,11 @@
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from conftest import edge_set
 from tenalign.matching import Matching, accuracy
 from tenalign.synth import (
     AlignmentProblem,
@@ -46,7 +49,54 @@ class TestRgg:
         assert mean_degree >= 1.3 * expected  # well clear of full overlap
 
 
+def er_noise_oracle(graph, p, seed=0):
+    """The former ``er_noise``: one coin call per row, set lookups per pair."""
+    rng = np.random.default_rng(seed)
+    n = graph.n
+    total_pairs = n * (n - 1) // 2
+    if total_pairs == 0:
+        return graph
+    rho = graph.num_edges / total_pairs
+    if rho >= 1.0:
+        warnings.warn("complete graph: no non-edges to add, using q = 0", stacklevel=2)
+        q = 0.0
+    else:
+        q = p * rho / (1.0 - rho)
+    keep = rng.random(graph.num_edges) >= p
+    new_edges = {tuple(e) for e in graph.edges[keep].tolist()}
+    existing = edge_set(graph)
+    if q > 0.0:
+        for u in range(n - 1):
+            draws = rng.random(n - u - 1)
+            for h in np.nonzero(draws < q)[0]:
+                pair = (u, u + 1 + int(h))
+                if pair not in existing:
+                    new_edges.add(pair)
+    return Graph(n, np.array(sorted(new_edges), dtype=np.int64).reshape(-1, 2))
+
+
+def _run_recording_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
 class TestErNoise:
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])
+    def test_matches_row_loop(self, n):
+        graphs = [rgg(n, seed=5), Graph(n, np.empty((0, 2), dtype=np.int64))]
+        if n <= 100:
+            graphs.append(Graph.from_edges(n, combinations(range(n), 2)))
+        for g in graphs:
+            for p in (0.0, 0.05, 0.5, 1.0):
+                for seed in (0, 1, 2):
+                    got, got_warned = _run_recording_warnings(er_noise, g, p, seed)
+                    ref, ref_warned = _run_recording_warnings(er_noise_oracle, g, p, seed)
+                    assert got.n == ref.n and got_warned == ref_warned
+                    assert got.edges.dtype == ref.edges.dtype
+                    assert got.edges.tobytes() == ref.edges.tobytes()
+
     def test_p_zero_is_identity(self, rng):
         g = rgg(40, seed=1)
         assert np.array_equal(er_noise(g, 0.0, seed=2).edges, g.edges)
@@ -54,7 +104,7 @@ class TestErNoise:
     def test_p_one_removes_all_original_edges(self):
         g = rgg(40, seed=1)
         noisy = er_noise(g, 1.0, seed=2)
-        assert not (set(map(tuple, noisy.edges.tolist())) & g.edge_set)
+        assert not (edge_set(noisy) & edge_set(g))
 
     def test_deletions_within_binomial_band(self):
         g = rgg(300, seed=7)
@@ -63,7 +113,7 @@ class TestErNoise:
         deleted = []
         for seed in range(100):
             noisy = er_noise(g, p, seed=seed)
-            deleted.append(len(g.edge_set - noisy.edge_set))
+            deleted.append(len(edge_set(g) - edge_set(noisy)))
         sigma = math.sqrt(e * p * (1 - p))
         assert abs(np.mean(deleted) - e * p) <= 3 * sigma / math.sqrt(100)
 
@@ -76,8 +126,6 @@ class TestErNoise:
         assert np.std(counts) > 0
 
     def test_complete_graph_warns(self):
-        from itertools import combinations
-
         g = Graph.from_edges(4, combinations(range(4), 2))
         with pytest.warns(UserWarning, match="complete"):
             er_noise(g, 0.5, seed=0)
@@ -126,7 +174,7 @@ class TestPermute:
         relabeled, perm = permute(g, seed=7)
         inverse = np.argsort(perm)
         back = {tuple(sorted((inverse[u], inverse[v]))) for u, v in relabeled.edges}
-        assert back == g.edge_set
+        assert back == edge_set(g)
 
     def test_single_vertex_identity(self):
         g = Graph(1, np.empty((0, 2), dtype=int))
@@ -151,7 +199,7 @@ class TestMakeProblem:
         mapped = {
             tuple(sorted((sigma[u], sigma[v]))) for u, v in problem.graph_a.edges
         }
-        assert mapped == problem.graph_b.edge_set
+        assert mapped == edge_set(problem.graph_b)
 
     def test_duplication_grows_both_sides(self):
         problem = make_problem(40, "duplication", {"frac": 0.25, "p_edge": 0.5}, seed=2)

