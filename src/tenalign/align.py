@@ -16,8 +16,9 @@ the (implicit) product tensor of the motif adjacency tensors:
   columns embed both vertex sets and the product of the factor matrices is
   matched once at the end.
 
-Per-iteration matchings score iterates by motifs aligned; the best-scoring
-iterate (earliest on ties) is returned along with its matching.
+The methods supply only their step; one shared loop matches iterates by
+motifs aligned, returns the best-scoring iterate (earliest on ties) with its
+matching, and applies the ``tol`` stop.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ class AlignOptions:
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
+            raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,6 @@ class AlignmentOutput:
     best_factors: FactorPair | None = None
     best_dense: np.ndarray | None = None
     converged: bool = False
-    factors: FactorPair | None = None  # full embedding for lambda-tame
     iterates: list | None = None  # densified iterates when requested
 
     def best_matrix(self) -> np.ndarray:
@@ -143,24 +143,6 @@ class AlignmentOutput:
         raise ValueError("no iterate stored")
 
 
-def _require_nonempty(*tensors: MotifTensor) -> None:
-    for t in tensors:
-        if t.nnz == 0:
-            raise DegenerateProblemError(
-                "empty motif tensor: the iteration carries no signal"
-            )
-
-
-def _uniform_prior(m: int, n: int) -> np.ndarray:
-    return np.full((m, n), 1.0 / (m * n))
-
-
-def _resolve_match_every(opts: AlignOptions, method: str) -> bool:
-    if opts.match_every is not None:
-        return opts.match_every
-    return method != "lambda-tame"
-
-
 def _score_dense(X, tensor_a, tensor_b):
     t0 = time.perf_counter()
     matching = max_weight_matching(X)
@@ -168,21 +150,68 @@ def _score_dense(X, tensor_a, tensor_b):
     return matching, score, time.perf_counter() - t0
 
 
-class _BestTracker:
-    """Keeps the earliest iterate achieving the maximum score."""
+def _dense(iterate) -> np.ndarray:
+    return iterate if isinstance(iterate, np.ndarray) else iterate.dense()
 
-    def __init__(self):
-        self.index = 0
-        self.score = None
-        self.matching = None
-        self.payload = None
 
-    def offer(self, index, score, matching, payload):
-        if score is None:
-            return
-        if self.score is None or score > self.score:
-            self.index, self.score, self.matching = index, score, matching
-            self.payload = payload
+def _power_iteration(method, steps, tensor_a, tensor_b, opts) -> AlignmentOutput:
+    """The loop shared by the three methods around their ``steps``.
+
+    ``steps(tensor_a, tensor_b, opts)`` yields ``(IterationStats, iterate)``
+    per iteration, the iterate a dense matrix or a :class:`FactorPair`.  The
+    loop matches iterates, keeps the earliest best-scoring one and stops when
+    the estimate ``lam`` changes by less than ``tol``.  Lambda-TAME's
+    independent sequences never stop early and are matched on the last
+    iterate only, unless ``match_every`` asks for every iterate; without
+    per-iterate matching the last iterate is the one matched and returned.
+    """
+    for t in (tensor_a, tensor_b):
+        if t.nnz == 0:
+            raise DegenerateProblemError(
+                "empty motif tensor: the iteration carries no signal"
+            )
+    per_graph = method == "lambda-tame"
+    if opts.max_iter < 1 and not per_graph:
+        raise ValueError(f"max_iter must be >= 1 for {method}")
+    match_every = not per_graph if opts.match_every is None else opts.match_every
+    stats: list[IterationStats] = []
+    iterates = [] if opts.keep_iterates else None
+    best = best_score = best_matching = None
+    best_index = 0
+    converged = per_graph
+    lam_prev = np.inf
+    for entry, iterate in steps(tensor_a, tensor_b, opts):
+        if match_every:
+            matching, entry.score, entry.matching_seconds = _score_dense(
+                _dense(iterate), tensor_a, tensor_b
+            )
+            if best_score is None or entry.score > best_score:
+                best, best_score, best_matching = iterate, entry.score, matching
+                best_index = entry.index
+        stats.append(entry)
+        if iterates is not None:
+            iterates.append(_dense(iterate))
+        if not per_graph and abs(entry.lam - lam_prev) < opts.tol:
+            converged = True
+            break
+        lam_prev = entry.lam
+    if best_score is None:
+        best_matching, entry.score, entry.matching_seconds = _score_dense(
+            _dense(iterate), tensor_a, tensor_b
+        )
+        best, best_score, best_index = iterate, entry.score, entry.index
+    dense = isinstance(best, np.ndarray)
+    return AlignmentOutput(
+        method=method,
+        per_iteration=stats,
+        best_index=best_index,
+        best_score=best_score,
+        best_matching=best_matching,
+        best_factors=None if dense else best,
+        best_dense=best if dense else None,
+        converged=converged,
+        iterates=iterates,
+    )
 
 
 def _dense_step(x_hat, X, X0, opts: AlignOptions, ell: int):
@@ -202,71 +231,31 @@ def _dense_step(x_hat, X, X0, opts: AlignOptions, ell: int):
 def tame(
     tensor_a: MotifTensor,
     tensor_b: MotifTensor,
-    weights: np.ndarray | None = None,
     opts: AlignOptions = AlignOptions(),
 ) -> AlignmentOutput:
     """Dense-iterate alignment via the implicit product-tensor contraction.
 
-    ``X_0 = W / ||W||_F``; each iteration contracts the product tensor with
-    the current iterate, estimates the generalized Rayleigh quotient
-    ``lam = trace(X^T Xhat)``, remixes ``alpha * Xhat + alpha * beta * X +
-    (1 - alpha) * X_0`` and renormalizes, stopping when ``lam`` stabilizes
-    within ``tol`` or after ``max_iter`` iterations.
+    ``X_0`` is the normalized uniform matrix; each iteration contracts the
+    product tensor with the current iterate, estimates the generalized
+    Rayleigh quotient ``lam = trace(X^T Xhat)``, remixes ``alpha * Xhat +
+    alpha * beta * X + (1 - alpha) * X_0`` and renormalizes, stopping when
+    ``lam`` stabilizes within ``tol`` or after ``max_iter`` iterations.
     """
-    _require_nonempty(tensor_a, tensor_b)
-    if opts.max_iter < 1:
-        raise ValueError("max_iter must be >= 1 for the dense iteration")
+    return _power_iteration("tame", _tame_steps, tensor_a, tensor_b, opts)
+
+
+def _tame_steps(tensor_a, tensor_b, opts):
     pair = KronPair(tensor_a, tensor_b)
     m, n = pair.dim_a, pair.dim_b
-    W = _uniform_prior(m, n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if W.shape != (m, n):
-        raise DegenerateProblemError(f"prior must have shape ({m}, {n})")
-    w_norm = np.linalg.norm(W)
-    if w_norm == 0:
-        raise DegenerateProblemError("prior matrix must be nonzero")
-    match_every = _resolve_match_every(opts, "tame")
-    X0 = W / w_norm
+    W = np.full((m, n), 1.0 / (m * n))
+    X0 = W / np.linalg.norm(W)
     X = X0
-    lam_prev = np.inf
-    stats: list[IterationStats] = []
-    iterates = [] if opts.keep_iterates else None
-    best = _BestTracker()
-    converged = False
     for ell in range(1, opts.max_iter + 1):
         t0 = time.perf_counter()
         x_hat = implicit_kron_ttv(pair, X)
         t_contract = time.perf_counter() - t0
-        lam, x_new = _dense_step(x_hat, X, X0, opts, ell)
-        matching = score = None
-        t_match = 0.0
-        if match_every:
-            matching, score, t_match = _score_dense(x_new, tensor_a, tensor_b)
-        stats.append(
-            IterationStats(ell, lam, None, score, t_contract, t_match, path="implicit")
-        )
-        best.offer(ell, score, matching, x_new.copy())
-        if iterates is not None:
-            iterates.append(x_new.copy())
-        X = x_new
-        if abs(lam - lam_prev) < opts.tol:
-            converged = True
-            break
-        lam_prev = lam
-    if best.score is None:
-        matching, score, t_match = _score_dense(X, tensor_a, tensor_b)
-        stats[-1].score = score
-        stats[-1].matching_seconds = t_match
-        best.offer(len(stats), score, matching, X.copy())
-    return AlignmentOutput(
-        method="tame",
-        per_iteration=stats,
-        best_index=best.index,
-        best_score=best.score,
-        best_matching=best.matching,
-        best_dense=best.payload,
-        converged=converged,
-        iterates=iterates,
-    )
+        lam, X = _dense_step(x_hat, X, X0, opts, ell)
+        yield IterationStats(ell, lam, None, None, t_contract, 0.0, path="implicit"), X
 
 
 def rank_reveal(U: np.ndarray, V: np.ndarray):
@@ -338,7 +327,6 @@ def _accumulated_contraction(pair, factors):
 def lowrank_tame(
     tensor_a: MotifTensor,
     tensor_b: MotifTensor,
-    weight_factors: FactorPair | None = None,
     opts: AlignOptions = AlignOptions(),
 ) -> AlignmentOutput:
     """Exact low-rank form of :func:`tame`; identical iterates in exact arithmetic.
@@ -354,28 +342,15 @@ def lowrank_tame(
     batches, remixed and renormalized exactly as in :func:`tame`, and
     re-factored by SVD (the wide-factor regime).
     """
-    _require_nonempty(tensor_a, tensor_b)
-    if opts.max_iter < 1:
-        raise ValueError("max_iter must be >= 1 for the low-rank iteration")
+    return _power_iteration("lowrank-tame", _lowrank_steps, tensor_a, tensor_b, opts)
+
+
+def _lowrank_steps(tensor_a, tensor_b, opts):
     pair = KronPair(tensor_a, tensor_b)
     m, n = pair.dim_a, pair.dim_b
     k = pair.order
-    if weight_factors is None:
-        weight_factors = FactorPair(
-            np.full((m, 1), 1.0 / (m * n)), np.ones((n, 1))
-        )
-    if weight_factors.u.shape[0] != m or weight_factors.v.shape[0] != n:
-        raise DegenerateProblemError("weight factor shapes do not match tensors")
-    if weight_factors.frob_norm() == 0:
-        raise DegenerateProblemError("prior matrix must be nonzero")
-    match_every = _resolve_match_every(opts, "lowrank-tame")
-    x0 = _normalized(weight_factors)
+    x0 = _normalized(FactorPair(np.full((m, 1), 1.0 / (m * n)), np.ones((n, 1))))
     current = x0
-    lam_prev = np.inf
-    stats: list[IterationStats] = []
-    iterates = [] if opts.keep_iterates else None
-    best = _BestTracker()
-    converged = False
     for ell in range(1, opts.max_iter + 1):
         r = current.rank
         if r ** (k - 1) <= kron.COLUMN_CAP:
@@ -416,41 +391,11 @@ def lowrank_tame(
                 f"rank growth bound violated at iteration {ell}: "
                 f"rank {new_rank} > bound {bound}"
             )
-        matching = score = None
-        t_match = 0.0
-        if match_every:
-            matching, score, t_match = _score_dense(
-                new_factors.dense(), tensor_a, tensor_b
-            )
-        stats.append(
-            IterationStats(
-                ell, lam, new_rank, score, t_contract, t_match,
-                sigma_ratio=sigma_ratio, path=path, rank_reveal_seconds=t_reveal,
-            )
-        )
-        best.offer(ell, score, matching, new_factors)
-        if iterates is not None:
-            iterates.append(new_factors.dense())
         current = new_factors
-        if abs(lam - lam_prev) < opts.tol:
-            converged = True
-            break
-        lam_prev = lam
-    if best.score is None:
-        matching, score, t_match = _score_dense(current.dense(), tensor_a, tensor_b)
-        stats[-1].score = score
-        stats[-1].matching_seconds = t_match
-        best.offer(len(stats), score, matching, current)
-    return AlignmentOutput(
-        method="lowrank-tame",
-        per_iteration=stats,
-        best_index=best.index,
-        best_score=best.score,
-        best_matching=best.matching,
-        best_factors=best.payload,
-        converged=converged,
-        iterates=iterates,
-    )
+        yield IterationStats(
+            ell, lam, new_rank, None, t_contract, 0.0,
+            sigma_ratio=sigma_ratio, path=path, rank_reveal_seconds=t_reveal,
+        ), current
 
 
 def lambda_tame(
@@ -462,27 +407,31 @@ def lambda_tame(
 
     Column 0 of each factor is the normalized all-ones vector; each
     iteration appends the affine-shifted, normalized contraction of the
-    previous column, independently per tensor.  After ``max_iter`` columns
-    the dense product ``U V^T`` is matched once (per-iterate scoring can be
-    requested through ``match_every``).
+    previous column, independently per tensor.  ``tol`` is ignored: the
+    sequences always run to ``max_iter`` columns, after which the dense
+    product ``U V^T`` is matched once (per-iterate scoring can be requested
+    through ``match_every``).  With ``max_iter == 0`` the one iterate is the
+    initial column pair, reported as iteration 0.
     """
-    _require_nonempty(tensor_a, tensor_b)
+    return _power_iteration("lambda-tame", _lambda_steps, tensor_a, tensor_b, opts)
+
+
+def _lambda_steps(tensor_a, tensor_b, opts):
     if tensor_a.order != tensor_b.order:
         raise DegenerateProblemError("tensor orders differ")
     k = tensor_a.order
     m, n = tensor_a.dim, tensor_b.dim
-    match_every = _resolve_match_every(opts, "lambda-tame")
     L = opts.max_iter
     U = np.zeros((m, L + 1))
     V = np.zeros((n, L + 1))
     U[:, 0] = 1.0 / math.sqrt(m)
     V[:, 0] = 1.0 / math.sqrt(n)
-    stats: list[IterationStats] = []
-    best = _BestTracker()
+    if L == 0:
+        yield IterationStats(0, 0.0, 1, None, 0.0, 0.0, path="column"), FactorPair(U, V)
     for ell in range(1, L + 1):
         t0 = time.perf_counter()
-        cu = ttv_same(tensor_a, U[:, ell - 1], k - 1)
-        cv = ttv_same(tensor_b, V[:, ell - 1], k - 1)
+        cu = ttv_same(tensor_a, U[:, ell - 1])
+        cv = ttv_same(tensor_b, V[:, ell - 1])
         t_contract = time.perf_counter() - t0
         lam_a = float(np.dot(U[:, ell - 1], cu))
         lam_b = float(np.dot(V[:, ell - 1], cv))
@@ -498,36 +447,7 @@ def lambda_tame(
                     f"zero contraction column at iteration {ell}"
                 )
             mat[:, ell] = new / norm
-        matching = score = None
-        t_match = 0.0
-        if match_every:
-            matching, score, t_match = _score_dense(
-                U[:, : ell + 1] @ V[:, : ell + 1].T, tensor_a, tensor_b
-            )
-            best.offer(ell, score, matching, (ell, U[:, : ell + 1].copy(), V[:, : ell + 1].copy()))
-        stats.append(
-            IterationStats(
-                ell, lam_a * lam_b, ell + 1, score, t_contract, t_match, path="column"
-            )
-        )
-    factors = FactorPair(U, V)
-    if best.score is None:
-        matching, score, t_match = _score_dense(factors.dense(), tensor_a, tensor_b)
-        if stats:
-            stats[-1].score = score
-            stats[-1].matching_seconds = t_match
-        else:
-            stats.append(IterationStats(0, 0.0, 1, score, 0.0, t_match, path="column"))
-        best.offer(L, score, matching, (L, U, V))
-    best_ell, best_u, best_v = best.payload
-    return AlignmentOutput(
-        method="lambda-tame",
-        per_iteration=stats,
-        best_index=best_ell,
-        best_score=best.score,
-        best_matching=best.matching,
-        best_factors=FactorPair(best_u, best_v),
-        converged=True,
-        factors=factors,
-    )
-
+        # columns up to ell are final, so the iterate can share them
+        yield IterationStats(
+            ell, lam_a * lam_b, ell + 1, None, t_contract, 0.0, path="column"
+        ), FactorPair(U[:, : ell + 1], V[:, : ell + 1])

@@ -26,7 +26,7 @@ from . import records as rec
 from .align import AlignOptions, FactorPair, lambda_tame, lowrank_tame, tame, truncated_svd
 from .eigen import random_symmetric_tensor, verify_decoupling
 from .errors import TenalignError
-from .graphs import Graph, clique_tensor, load_edge_list, save_edge_list
+from .graphs import MAX_MOTIF, MIN_MOTIF, Graph, clique_tensor, load_edge_list, save_edge_list
 from .matching import accuracy, edges_aligned, motifs_aligned
 from .refine import RefineOptions, RefineStats, local_search
 from .synth import make_problem
@@ -115,17 +115,6 @@ def _tensors_for(graph_a: Graph, graph_b: Graph, args):
     return tensor_a, tensor_b, k
 
 
-def _align_opts(args) -> AlignOptions:
-    match_every = {"auto": None, "always": True, "final": False}[args.match_every]
-    return AlignOptions(
-        alpha=args.alpha,
-        beta=args.beta,
-        max_iter=args.iters,
-        tol=args.tol,
-        match_every=match_every,
-    )
-
-
 def _embedding_factors(output) -> FactorPair:
     """Low-rank embedding of the best iterate (SVD-factored when dense)."""
     if output.best_factors is not None:
@@ -153,13 +142,54 @@ def _knn(raw: str):
         raise TenalignError(f"--knn must be an integer or 'auto', got {raw!r}") from None
 
 
-def _align_once(graph_a, graph_b, truth, args, method, refine, seed):
+# the option field each flag sets, as the option checks name it
+_FLAG_OF = {
+    "alpha": "--alpha",
+    "beta": "--beta",
+    "max_iter": "--iters",
+    "k_neighbors": "--knn",
+    "max_sweeps": "--sweeps",
+}
+
+
+def _options(args, methods):
+    """The :class:`AlignOptions` and :class:`RefineOptions` of the flags.
+
+    Called before any file is written; a bad value raises a
+    :class:`TenalignError` naming its flag.  ``methods`` are the methods the
+    options will drive: TAME and LowRankTAME need ``--iters`` of at least 1.
+    """
+    if not MIN_MOTIF <= args.motif <= MAX_MOTIF:
+        raise TenalignError(
+            f"--motif must lie in [{MIN_MOTIF}, {MAX_MOTIF}], got {args.motif}"
+        )
+    if args.iters < 1 and {"tame", "lowrank-tame"} & set(methods):
+        raise TenalignError(
+            f"--iters must be >= 1 for tame and lowrank-tame, got {args.iters}"
+        )
+    knn = _knn(args.knn)
+    match_every = {"auto": None, "always": True, "final": False}[args.match_every]
+    try:
+        return (
+            AlignOptions(
+                alpha=args.alpha,
+                beta=args.beta,
+                max_iter=args.iters,
+                tol=args.tol,
+                match_every=match_every,
+            ),
+            RefineOptions(k_neighbors=knn, max_sweeps=args.sweeps),
+        )
+    except ValueError as exc:
+        field, _, rule = str(exc).partition(" ")
+        raise TenalignError(f"{_FLAG_OF[field]} {rule}") from None
+
+
+def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed):
     t_start = time.perf_counter()
-    ropts = RefineOptions(k_neighbors=_knn(args.knn), max_sweeps=args.sweeps)
     t0 = time.perf_counter()
     tensor_a, tensor_b, k = _tensors_for(graph_a, graph_b, args)
     tensor_seconds = time.perf_counter() - t0
-    opts = _align_opts(args)
     t0 = time.perf_counter()
     output = _run_method(method, tensor_a, tensor_b, opts)
     method_seconds = time.perf_counter() - t0
@@ -239,11 +269,12 @@ def _align_once(graph_a, graph_b, truth, args, method, refine, seed):
 
 
 def cmd_align(args) -> int:
+    opts, ropts = _options(args, [args.method])
     graph_a = load_edge_list(args.graph_a)
     graph_b = load_edge_list(args.graph_b)
     truth = rec.load_truth(args.truth) if args.truth else None
     record, matching = _align_once(
-        graph_a, graph_b, truth, args, args.method, args.refine, args.seed
+        graph_a, graph_b, truth, args, opts, ropts, args.method, args.refine, args.seed
     )
     rec.write_records(args.out, [record])
     if args.matching_out:
@@ -331,12 +362,13 @@ def _parse_run_combos(raw: str):
 
 def cmd_synth(args) -> int:
     trials = _trials(args)
+    combos = _parse_run_combos(args.run) if args.run else []
+    opts, ropts = _options(args, [method for method, _ in combos])
     os.makedirs(args.out, exist_ok=True)
     params = (
         {"p": args.p} if args.model == "er"
         else {"frac": args.frac, "p_edge": args.pedge}
     )
-    combos = _parse_run_combos(args.run) if args.run else []
     problem_records = []
     run_records = []
     root = np.random.SeedSequence(args.seed)
@@ -366,7 +398,7 @@ def cmd_synth(args) -> int:
         for method, refine in combos:
             record, _ = _align_once(
                 problem.graph_a, problem.graph_b, problem.truth,
-                args, method, refine, args.seed,
+                args, opts, ropts, method, refine, args.seed,
             )
             record["kind"] = "synth-trial"
             record["trial"] = trial

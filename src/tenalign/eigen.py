@@ -54,7 +54,6 @@ class EigenPair:
     vector: np.ndarray
     residual: float
     converged: bool = True
-    iterations: int = 0
 
 
 @dataclass(frozen=True)

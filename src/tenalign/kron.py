@@ -23,7 +23,7 @@ from .errors import (
     DimensionMismatchError,
     UnsupportedContractionError,
 )
-from .tensors import MotifTensor, dense_ttv, ttv_same
+from .tensors import MotifTensor, ttv_same
 
 __all__ = [
     "KronPair",
@@ -44,8 +44,8 @@ class KronPair:
     """A pair of equal-order tensors viewed as their (implicit) product tensor.
 
     ``a`` plays the row role (dimension ``m``) and ``b`` the column role
-    (dimension ``n``); either may be a :class:`MotifTensor` or a dense
-    symmetric ``numpy`` array for the small oracle paths.
+    (dimension ``n``); either may be a :class:`MotifTensor` or, for
+    :func:`explicit_kron` only, a dense symmetric ``numpy`` array.
     """
 
     a: object
@@ -78,10 +78,9 @@ def _dim(t) -> int:
     return t.dim if isinstance(t, MotifTensor) else np.asarray(t).shape[0]
 
 
-def _ttv(t, x, p):
-    if isinstance(t, MotifTensor):
-        return ttv_same(t, x, p)
-    return dense_ttv(t, x, p)
+def _require_sparse(pair: KronPair, what: str) -> None:
+    if not isinstance(pair.a, MotifTensor) or not isinstance(pair.b, MotifTensor):
+        raise UnsupportedContractionError(f"{what} requires sparse motif tensors")
 
 
 def vec(X: np.ndarray) -> np.ndarray:
@@ -101,10 +100,7 @@ def implicit_kron_ttv(pair: KronPair, X: np.ndarray) -> np.ndarray:
     correspondences; work is quadratic in the motif counts but independent
     of the rank of ``X``.
     """
-    if not isinstance(pair.a, MotifTensor) or not isinstance(pair.b, MotifTensor):
-        raise UnsupportedContractionError(
-            "implicit contraction requires sparse motif tensors"
-        )
+    _require_sparse(pair, "implicit contraction")
     X = np.asarray(X, dtype=np.float64)
     m, n = pair.dim_a, pair.dim_b
     if X.shape != (m, n):
@@ -120,23 +116,15 @@ def implicit_kron_ttv(pair: KronPair, X: np.ndarray) -> np.ndarray:
     )
 
 
-def rank1_kron_ttv(pair: KronPair, u: np.ndarray, v: np.ndarray, p: int):
+def rank1_kron_ttv(pair: KronPair, u: np.ndarray, v: np.ndarray):
     """Decoupled contraction for a rank-1 matrix ``X = u v^T``.
 
-    Returns the pair ``(A . u^p, B . v^p)``; their outer product (scalar
-    product when ``p == k``) equals the product-tensor contraction of
-    ``vec(u v^T)``, so the two operands never interact.
+    Returns the pair ``(A . u^{k-1}, B . v^{k-1})``; their outer product
+    equals the product-tensor contraction of ``vec(u v^T)``, so the two
+    operands never interact.
     """
-    k = pair.order
-    if p not in (k - 1, k):
-        raise UnsupportedContractionError(f"p must be {k - 1} or {k}, got {p}")
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != (pair.dim_a,):
-        raise DimensionMismatchError("u must match the first tensor dimension")
-    if v.shape != (pair.dim_b,):
-        raise DimensionMismatchError("v must match the second tensor dimension")
-    return _ttv(pair.a, u, p), _ttv(pair.b, v, p)
+    _require_sparse(pair, "rank-1 contraction")
+    return ttv_same(pair.a, u), ttv_same(pair.b, v)
 
 
 def lowrank_kron_ttv(pair: KronPair, U: np.ndarray, V: np.ndarray):
@@ -153,10 +141,7 @@ def lowrank_kron_ttv(pair: KronPair, U: np.ndarray, V: np.ndarray):
     iteration checks the same bound and accumulates the contraction from
     column batches instead.
     """
-    if not isinstance(pair.a, MotifTensor) or not isinstance(pair.b, MotifTensor):
-        raise UnsupportedContractionError(
-            "low-rank expansion requires sparse motif tensors"
-        )
+    _require_sparse(pair, "low-rank expansion")
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:

@@ -40,9 +40,9 @@ class RefineOptions:
 
     def __post_init__(self):
         if self.k_neighbors != "auto" and int(self.k_neighbors) < 1:
-            raise ValueError("k_neighbors must be >= 1")
+            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if self.max_sweeps < 0:
-            raise ValueError("max_sweeps must be nonnegative")
+            raise ValueError(f"max_sweeps must be nonnegative, got {self.max_sweeps}")
 
     def resolve_k(self, rank: int) -> int:
         if self.k_neighbors == "auto":

@@ -24,13 +24,11 @@ from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     InputFormatError,
-    UnsupportedContractionError,
 )
 
 __all__ = [
     "MotifTensor",
     "ttv_same",
-    "dense_ttv",
     "load_tensor",
     "save_tensor",
 ]
@@ -160,49 +158,20 @@ def _exclusive_products(vals: np.ndarray) -> np.ndarray:
     return prefix * suffix
 
 
-def ttv_same(tensor: MotifTensor, x: np.ndarray, p: int):
-    """Contract ``p`` modes of the tensor with copies of the same vector.
+def ttv_same(tensor: MotifTensor, x: np.ndarray) -> np.ndarray:
+    """Contract ``order - 1`` modes of the tensor with copies of one vector.
 
-    For ``p == order - 1`` the result is the length-``dim`` vector whose
-    ``i``-th entry sums ``weight * (k-1)! * prod_{j in e, j != i} x[j]`` over
-    stored hyperedges ``e`` containing ``i``; for ``p == order`` it is the
-    scalar ``sum_e weight * k! * prod_{j in e} x[j]``.  Only these two values
-    of ``p`` appear in any algorithm here and others are rejected.
+    The result is the length-``dim`` vector whose ``i``-th entry sums
+    ``weight * (k-1)! * prod_{j in e, j != i} x[j]`` over stored hyperedges
+    ``e`` containing ``i``.
     """
     k = tensor.order
     x = _check_vector(tensor, x)
-    if p not in (k - 1, k):
-        raise UnsupportedContractionError(
-            f"p must be {k - 1} or {k} for an order-{k} tensor, got {p}"
-        )
     edges, w = tensor.hyperedges, tensor.weights
-    if tensor.nnz == 0:
-        return 0.0 if p == k else np.zeros(tensor.dim)
-    vals = x[edges]
-    if p == k:
-        return float(math.factorial(k) * np.dot(w, np.prod(vals, axis=1)))
     out = np.zeros(tensor.dim)
-    contrib = (math.factorial(k - 1) * w)[:, None] * _exclusive_products(vals)
+    contrib = (math.factorial(k - 1) * w)[:, None] * _exclusive_products(x[edges])
     np.add.at(out, edges.ravel(), contrib.ravel())
     return out
-
-
-def dense_ttv(arr: np.ndarray, x: np.ndarray, p: int):
-    """Contract the leading ``p`` modes of a dense tensor with vector ``x``.
-
-    Reference implementation used as an oracle and for small dense tensors;
-    for symmetric tensors the choice of contracted modes is irrelevant.
-    """
-    arr = np.asarray(arr, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if p < 1 or p > arr.ndim:
-        raise UnsupportedContractionError(f"cannot contract {p} of {arr.ndim} modes")
-    if any(s != x.shape[0] for s in arr.shape):
-        raise DimensionMismatchError("vector length must match tensor dimension")
-    out = arr
-    for _ in range(p):
-        out = np.tensordot(out, x, axes=([0], [0]))
-    return float(out) if out.ndim == 0 else out
 
 
 def load_tensor(path) -> MotifTensor:

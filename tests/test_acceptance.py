@@ -113,7 +113,7 @@ def test_criterion_01_lemma_equivalence(rng):
         dense = explicit_kron(pair)
         u = rng.standard_normal(m)
         v = rng.standard_normal(n)
-        a_side, b_side = rank1_kron_ttv(pair, u, v, k - 1)
+        a_side, b_side = rank1_kron_ttv(pair, u, v)
         oracle1 = unvec(dense_contract(dense, vec(np.outer(u, v)), k - 1), m, n)
         scale1 = max(np.linalg.norm(oracle1), 1e-30)
         worst = max(worst, np.linalg.norm(np.outer(a_side, b_side) - oracle1) / scale1)

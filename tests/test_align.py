@@ -56,14 +56,6 @@ class TestTame:
         with pytest.raises(DegenerateProblemError):
             tame(MotifTensor.empty(3, 3), triangle)
 
-    def test_zero_prior_rejected(self, triangle):
-        with pytest.raises(DegenerateProblemError):
-            tame(triangle, triangle, weights=np.zeros((3, 3)))
-
-    def test_prior_shape_checked(self, triangle):
-        with pytest.raises(DegenerateProblemError):
-            tame(triangle, triangle, weights=np.ones((3, 4)))
-
     def test_best_iterate_earliest_on_ties(self, triangle):
         out = tame(triangle, triangle, opts=AlignOptions(alpha=1.0, beta=0.0, max_iter=15))
         # the fixed point scores identically every iteration
@@ -187,26 +179,26 @@ class TestRankReveal:
 class TestLambdaTame:
     def test_triangle_fixed_point(self, triangle):
         out = lambda_tame(triangle, triangle, AlignOptions(alpha=1.0, beta=0.0, max_iter=5))
-        assert np.allclose(out.factors.u, 1.0 / math.sqrt(3))
-        assert np.allclose(out.factors.v, 1.0 / math.sqrt(3))
+        assert np.allclose(out.best_factors.u, 1.0 / math.sqrt(3))
+        assert np.allclose(out.best_factors.v, 1.0 / math.sqrt(3))
         assert out.per_iteration[0].lam == pytest.approx(4.0 / 3.0)
 
     def test_zero_iterations_gives_uniform_rank1(self, triangle):
         out = lambda_tame(triangle, triangle, AlignOptions(alpha=1.0, beta=0.0, max_iter=0))
-        assert out.factors.rank == 1
-        X = out.factors.dense()
+        assert out.best_factors.rank == 1
+        X = out.best_factors.dense()
         assert np.allclose(X, X[0, 0])
         assert out.best_score == 1  # tie-break matching still aligns the triangle
 
     def test_identical_graphs_identical_columns(self, small_problem):
         ta, _ = small_problem
         out = lambda_tame(ta, ta, AlignOptions(alpha=1.0, beta=1.0, max_iter=8))
-        assert np.array_equal(out.factors.u, out.factors.v)
+        assert np.array_equal(out.best_factors.u, out.best_factors.v)
 
     def test_columns_are_unit(self, small_problem):
         ta, tb = small_problem
         out = lambda_tame(ta, tb, AlignOptions(alpha=0.5, beta=1.0, max_iter=6))
-        norms = np.linalg.norm(out.factors.u, axis=0)
+        norms = np.linalg.norm(out.best_factors.u, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
     def test_pure_power_sequence_when_unshifted(self, small_problem):
@@ -214,9 +206,9 @@ class TestLambdaTame:
 
         ta, tb = small_problem
         out = lambda_tame(ta, tb, AlignOptions(alpha=1.0, beta=0.0, max_iter=4))
-        U = out.factors.u
+        U = out.best_factors.u
         for ell in range(1, 5):
-            step = ttv_same(ta, U[:, ell - 1], 2)
+            step = ttv_same(ta, U[:, ell - 1])
             assert np.allclose(U[:, ell], step / np.linalg.norm(step), atol=1e-12)
 
     def test_empty_tensor_rejected(self, triangle):
@@ -226,8 +218,8 @@ class TestLambdaTame:
     def test_isolated_vertices_tolerated(self):
         t = MotifTensor.from_hyperedges(3, 4, [(0, 1, 2)])  # vertex 3 isolated
         out = lambda_tame(t, t, AlignOptions(alpha=0.5, beta=0.0, max_iter=3))
-        assert out.factors.u.shape == (4, 4)
-        assert np.allclose(np.linalg.norm(out.factors.u, axis=0), 1.0)
+        assert out.best_factors.u.shape == (4, 4)
+        assert np.allclose(np.linalg.norm(out.best_factors.u, axis=0), 1.0)
 
     def test_zero_contraction_column_degenerates(self, monkeypatch):
         import tenalign.align as align_mod
@@ -243,3 +235,37 @@ class TestLambdaTame:
 def test_factor_pair_norm_matches_dense(rng):
     fp = FactorPair(rng.standard_normal((6, 3)), rng.standard_normal((5, 3)))
     assert fp.frob_norm() == pytest.approx(np.linalg.norm(fp.dense()), rel=1e-12)
+
+
+METHODS = {"tame": tame, "lowrank-tame": lowrank_tame, "lambda-tame": lambda_tame}
+
+
+@pytest.mark.parametrize("mode", ["always", "final", "auto"])
+@pytest.mark.parametrize("method", list(METHODS))
+def test_match_every_modes(small_problem, method, mode):
+    # auto scores every iterate of tame and lowrank-tame, and lambda-tame
+    # only once, on its last iterate
+    ta, tb = small_problem
+    match_every = {"always": True, "final": False, "auto": None}[mode]
+    every = method != "lambda-tame" if match_every is None else match_every
+    opts = AlignOptions(alpha=0.5, beta=1.0, max_iter=6, match_every=match_every)
+    out = METHODS[method](ta, tb, opts=opts)
+    scores = [s.score for s in out.per_iteration]
+    if every:
+        assert None not in scores
+        top = max(scores)
+        assert out.best_score == top
+        assert out.best_index == out.per_iteration[scores.index(top)].index
+    else:
+        assert scores[:-1] == [None] * (len(scores) - 1)
+        assert scores[-1] is not None
+        assert out.best_score == scores[-1]
+        assert out.best_index == out.per_iteration[-1].index
+    assert all(s.matching_seconds == 0.0 for s in out.per_iteration if s.score is None)
+    if method == "lambda-tame":
+        opts = AlignOptions(alpha=0.5, beta=1.0, max_iter=0, match_every=match_every)
+        out = lambda_tame(ta, tb, opts=opts)
+        assert [s.index for s in out.per_iteration] == [0]
+        assert out.best_index == 0
+        assert out.per_iteration[0].score is not None
+        assert out.best_score == out.per_iteration[0].score

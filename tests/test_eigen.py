@@ -68,18 +68,17 @@ def sshopm(tensor, shift, x0, tol=1e-10, max_iter=500):
     sym = _as_sym(tensor)
     x = np.asarray(x0, dtype=np.float64) / np.linalg.norm(x0)
     lam_prev = np.inf
-    its = 0
-    for its in range(1, max_iter + 1):
+    for _ in range(max_iter):
         c = sym.matvec(x)
         lam = float(np.dot(x, c))
         if abs(lam - lam_prev) < tol:
-            return EigenPair(lam, x, float(np.linalg.norm(c - lam * x)), True, its)
+            return EigenPair(lam, x, float(np.linalg.norm(c - lam * x)), True)
         lam_prev = lam
         y = c + shift * x
         x = y / np.linalg.norm(y)
     c = sym.matvec(x)
     lam = float(np.dot(x, c))
-    return EigenPair(lam, x, float(np.linalg.norm(c - lam * x)), False, its)
+    return EigenPair(lam, x, float(np.linalg.norm(c - lam * x)), False)
 
 
 class TestSshopm:

@@ -227,7 +227,7 @@ class TestCliqueTensor:
 
     def test_contraction_consistency(self):
         t = clique_tensor(complete_graph(3), 3)
-        assert ttv_same(t, np.ones(3), 2).tolist() == [2.0, 2.0, 2.0]
+        assert ttv_same(t, np.ones(3)).tolist() == [2.0, 2.0, 2.0]
 
 
 class TestEdgeListIO:

@@ -151,17 +151,18 @@ class TestExplicit:
 class TestRank1:
     def test_uniform_triangle_pair(self, triangle):
         u = np.ones(3) / np.sqrt(3)
-        a_side, b_side = rank1_kron_ttv(KronPair(triangle, triangle), u, u, 2)
+        a_side, b_side = rank1_kron_ttv(KronPair(triangle, triangle), u, u)
         assert np.allclose(a_side, 2.0 / 3.0)
         assert np.allclose(b_side, 2.0 / 3.0)
 
     def test_zero_vector(self, triangle):
-        a_side, _ = rank1_kron_ttv(KronPair(triangle, triangle), np.zeros(3), np.ones(3), 2)
+        a_side, _ = rank1_kron_ttv(KronPair(triangle, triangle), np.zeros(3), np.ones(3))
         assert not a_side.any()
 
-    def test_invalid_p(self, triangle):
+    def test_dense_operands_rejected(self, rng):
+        dense = random_motif(3, 3, rng).to_dense()
         with pytest.raises(UnsupportedContractionError):
-            rank1_kron_ttv(KronPair(triangle, triangle), np.ones(3), np.ones(3), 1)
+            rank1_kron_ttv(KronPair(dense, dense), np.ones(3), np.ones(3))
 
     def test_decoupling_identity(self, rng):
         # outer product of the per-operand contractions equals the joint one
@@ -172,7 +173,7 @@ class TestRank1:
             pair = KronPair(random_motif(k, m, rng), random_motif(k, n, rng))
             u = rng.standard_normal(m)
             v = rng.standard_normal(n)
-            a_side, b_side = rank1_kron_ttv(pair, u, v, k - 1)
+            a_side, b_side = rank1_kron_ttv(pair, u, v)
             joint = implicit_kron_ttv(pair, np.outer(u, v))
             scale = max(np.linalg.norm(joint), 1e-30)
             assert np.linalg.norm(np.outer(a_side, b_side) - joint) / scale <= 1e-12
@@ -182,10 +183,12 @@ class TestRank1:
         pair = KronPair(random_motif(k, m, rng), random_motif(k, n, rng))
         u = rng.standard_normal(m)
         v = rng.standard_normal(n)
-        sa, sb = rank1_kron_ttv(pair, u, v, k)
+        # the full contraction is the product of the operands' inner products
+        a_side, b_side = rank1_kron_ttv(pair, u, v)
         dense = explicit_kron(pair)
         ref = dense_contract(dense, vec(np.outer(u, v)), k)
-        assert sa * sb == pytest.approx(float(ref), rel=1e-12, abs=1e-12)
+        got = np.dot(u, a_side) * np.dot(v, b_side)
+        assert got == pytest.approx(float(ref), rel=1e-12, abs=1e-12)
 
 
 class TestImplicit:
@@ -324,7 +327,7 @@ class TestLowRank:
         u = rng.standard_normal((3, 1))
         v = rng.standard_normal((3, 1))
         ue, ve = lowrank_kron_ttv(pair, u, v)
-        a_side, b_side = rank1_kron_ttv(pair, u[:, 0], v[:, 0], 2)
+        a_side, b_side = rank1_kron_ttv(pair, u[:, 0], v[:, 0])
         assert np.allclose(ue[:, 0], a_side)
         assert np.allclose(ve[:, 0], b_side)
 

@@ -204,8 +204,12 @@ class TestAlignCommand:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--sweeps", "-1", "max_sweeps"),
-            ("--knn", "0", "k_neighbors"),
+            # the ids name the option field each flag sets
+            pytest.param(
+                "--sweeps", "-1", "--sweeps must be nonnegative, got -1",
+                id="--sweeps--1-max_sweeps",
+            ),
+            pytest.param("--knn", "0", "--knn must be >= 1, got 0", id="--knn-0-k_neighbors"),
             pytest.param("--knn", "x", "--knn must be an integer or 'auto', got 'x'", id="--knn-x"),
             pytest.param(
                 "--knn", "2.5", "--knn must be an integer or 'auto', got '2.5'", id="--knn-2.5"
@@ -361,6 +365,41 @@ class TestSynthCommand:
         assert code == 2
         assert "--trials" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "flag, value, run",
+        [
+            ("--knn", "x", "lambda-tame+local-search"),
+            ("--knn", "0", "lambda-tame+local-search"),
+            ("--sweeps", "-1", "lambda-tame+local-search"),
+            ("--alpha", "2", "lambda-tame+local-search"),
+            ("--beta", "-1", "lambda-tame+local-search"),
+            ("--iters", "-1", "lambda-tame+local-search"),
+            ("--iters", "0", "lambda-tame,tame"),
+            ("--iters", "0", "lowrank-tame"),
+            ("--motif", "12", "lambda-tame+local-search"),
+            ("--motif", "1", "lambda-tame"),
+        ],
+    )
+    def test_bad_flag_rejected_before_any_file(self, tmp_path, capsys, flag, value, run):
+        out = tmp_path / "sweep"
+        code = main(
+            ["synth", "--n", "12", "--model", "er", "--run", run, flag, value, "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"tenalign: {flag} ")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_zero_iters_allowed_for_lambda_tame(self, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(
+            ["synth", "--n", "30", "--model", "er", "--seed", "3", "--run", "lambda-tame",
+             "--iters", "0", "--out", str(out)]
+        )
+        assert code == 0
+        (record,) = load_records(out / "records.jsonl")
+        assert [e["index"] for e in record["per_iteration"]] == [0]
+        assert record["final"]["best_index"] == 0
 
     def test_invalid_combo_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "sweep")

@@ -8,11 +8,9 @@ from tenalign import _kernels, tensors
 from tenalign.errors import (
     BudgetExceededError,
     DimensionMismatchError,
-    UnsupportedContractionError,
 )
 from tenalign.tensors import (
     MotifTensor,
-    dense_ttv,
     load_tensor,
     save_tensor,
     ttv_same,
@@ -71,31 +69,28 @@ class TestConstruction:
 
 class TestTtvSame:
     def test_triangle_all_ones(self, triangle):
-        assert ttv_same(triangle, np.ones(3), 2).tolist() == [2.0, 2.0, 2.0]
+        assert ttv_same(triangle, np.ones(3)).tolist() == [2.0, 2.0, 2.0]
 
     def test_triangle_basis_vector(self, triangle):
         # no hyperedge contains two copies of vertex 0
-        assert ttv_same(triangle, np.eye(3)[0], 2).tolist() == [0.0, 0.0, 0.0]
+        assert ttv_same(triangle, np.eye(3)[0]).tolist() == [0.0, 0.0, 0.0]
 
     def test_triangle_distinct_entries(self, triangle):
-        out = ttv_same(triangle, np.array([1.0, 2.0, 3.0]), 2)
+        out = ttv_same(triangle, np.array([1.0, 2.0, 3.0]))
         assert out.tolist() == [12.0, 6.0, 4.0]
 
     def test_full_contraction_scalar(self, triangle):
-        assert ttv_same(triangle, np.array([1.0, 2.0, 3.0]), 3) == pytest.approx(36.0)
-
-    def test_invalid_p(self, triangle):
-        with pytest.raises(UnsupportedContractionError):
-            ttv_same(triangle, np.ones(3), 1)
+        # T x^k is the inner product of x with T x^{k-1}
+        x = np.array([1.0, 2.0, 3.0])
+        assert np.dot(x, ttv_same(triangle, x)) == pytest.approx(36.0)
 
     def test_dimension_mismatch(self, triangle):
         with pytest.raises(DimensionMismatchError):
-            ttv_same(triangle, np.ones(4), 2)
+            ttv_same(triangle, np.ones(4))
 
     def test_empty_tensor(self):
         t = MotifTensor.empty(3, 5)
-        assert ttv_same(t, np.ones(5), 2).tolist() == [0.0] * 5
-        assert ttv_same(t, np.ones(5), 3) == 0.0
+        assert ttv_same(t, np.ones(5)).tolist() == [0.0] * 5
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(25):
@@ -104,11 +99,9 @@ class TestTtvSame:
             t = random_motif(k, n, rng)
             x = rng.standard_normal(n)
             dense = t.to_dense()
-            got = ttv_same(t, x, k - 1)
+            got = ttv_same(t, x)
             ref = dense_contract(dense, x, k - 1)
             assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
-            got_full = ttv_same(t, x, k)
-            assert got_full == pytest.approx(float(dense_contract(dense, x, k)), rel=1e-12, abs=1e-12)
 
     def test_scalar_is_inner_product_with_vector_form(self, rng):
         for _ in range(10):
@@ -116,8 +109,8 @@ class TestTtvSame:
             n = int(rng.integers(k, 7))
             t = random_motif(k, n, rng)
             x = rng.standard_normal(n)
-            lhs = ttv_same(t, x, k)
-            rhs = float(np.dot(x, ttv_same(t, x, k - 1)))
+            lhs = float(dense_contract(t.to_dense(), x, k))
+            rhs = float(np.dot(x, ttv_same(t, x)))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -133,7 +126,7 @@ class TestTtvMulti:
             t = random_motif(k, n, rng)
             x = rng.standard_normal(n)
             got = ttv_multi(t, [x] * (k - 1))
-            ref = ttv_same(t, x, k - 1)
+            ref = ttv_same(t, x)
             scale = max(np.linalg.norm(ref), 1e-30)
             assert np.linalg.norm(got - ref) / scale <= 1e-12
 
@@ -215,12 +208,6 @@ class TestDense:
         t = MotifTensor.empty(9, 10)
         with pytest.raises(BudgetExceededError):
             t.to_dense()
-
-    def test_dense_ttv_validates(self):
-        with pytest.raises(UnsupportedContractionError):
-            dense_ttv(np.zeros((2, 2)), np.ones(2), 3)
-        with pytest.raises(DimensionMismatchError):
-            dense_ttv(np.zeros((2, 2)), np.ones(3), 1)
 
 
 class TestFileFormat:
