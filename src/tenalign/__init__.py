@@ -53,6 +53,6 @@ from .matching import (
 )
 from .refine import RefineOptions, RefineStats, local_search
 from .synth import AlignmentProblem, duplication_noise, er_noise, make_problem, permute, rgg
-from .tensors import MotifTensor, load_tensor, save_tensor, ttv_same
+from .tensors import MotifTensor, ttv_same
 
 __version__ = "0.1.0"

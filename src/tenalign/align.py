@@ -80,6 +80,8 @@ class AlignOptions:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("TENALIGN_THREADS"):
-    _threads = os.environ["TENALIGN_THREADS"]
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
+import math
+import os
 import sys
 import time
 import warnings
@@ -147,6 +138,7 @@ _FLAG_OF = {
     "alpha": "--alpha",
     "beta": "--beta",
     "max_iter": "--iters",
+    "tol": "--tol",
     "k_neighbors": "--knn",
     "max_sweeps": "--sweeps",
 }
@@ -304,6 +296,10 @@ def _trials(args) -> int:
 def cmd_eigcheck(args) -> int:
     dims = _int_list(args.dims, "--dims", 1)
     orders = _int_list(args.orders, "--orders", 2)
+    if args.restarts < 1:
+        raise TenalignError(f"--restarts must be >= 1, got {args.restarts}")
+    if not 0.0 <= args.tol < math.inf:
+        raise TenalignError(f"--tol must be finite and nonnegative, got {args.tol}")
     out_records = []
     root = np.random.SeedSequence(args.seed)
     for trial, child in enumerate(root.spawn(_trials(args))):

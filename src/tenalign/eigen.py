@@ -24,10 +24,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from . import kron
-from .errors import BudgetExceededError
 from .kron import KronPair, explicit_kron
-from .tensors import MotifTensor
 
 __all__ = [
     "EigenPair",
@@ -96,7 +93,6 @@ class _MonomialPlan:
     """
 
     def __init__(self, n: int, degree: int):
-        self.n = n
         self.degree = degree
         self.parents = []
         self.coords = []
@@ -128,24 +124,21 @@ class _MonomialPlan:
         return vals
 
 
-def _bucket_ids(n: int, degree: int, flat_count: int) -> np.ndarray:
-    """Map flat multi-indices over ``degree`` trailing modes to multiset ids."""
-    if degree < 1:
-        return np.zeros(flat_count, dtype=np.int64)
-    tails = np.stack(
-        np.unravel_index(np.arange(flat_count), (n,) * degree), axis=1
-    )
-    tails.sort(axis=1)
-    # unique over rows is lexicographic, matching the monomial plan order
-    _, inverse = np.unique(tails, axis=0, return_inverse=True)
-    return inverse.reshape(-1)
-
-
-def _compress(flat: np.ndarray, bucket: np.ndarray, count: int) -> np.ndarray:
-    """Sum columns of ``flat`` into their monomial buckets."""
+def _compressed(dense: np.ndarray, degree: int):
+    """The monomial plan of ``degree`` and the tensor flattened to ``degree``
+    trailing modes, its columns summed over equal trailing multisets."""
+    n = dense.shape[0]
+    plan = _MonomialPlan(n, degree)
+    bucket = np.zeros(1, dtype=np.int64)
+    if degree >= 1:
+        tails = np.stack(np.unravel_index(np.arange(n**degree), (n,) * degree), axis=1)
+        tails.sort(axis=1)
+        # unique over rows is lexicographic, matching the monomial plan order
+        bucket = np.unique(tails, axis=0, return_inverse=True)[1].reshape(-1)
     order = np.argsort(bucket, kind="stable")
-    starts = np.searchsorted(bucket[order], np.arange(count))
-    return np.add.reduceat(flat[:, order], starts, axis=1)
+    starts = np.searchsorted(bucket[order], np.arange(plan.count))
+    flat = dense.reshape(-1, n**degree)
+    return plan, np.add.reduceat(flat[:, order], starts, axis=1)
 
 
 class SymMatvec:
@@ -154,21 +147,17 @@ class SymMatvec:
     Precomputes, per output index, the column sums of the flattened tensor
     over equal trailing multisets, so one contraction against ``x`` costs
     one monomial evaluation plus a small matrix product instead of a pass
-    over all ``n^{k-1}`` entries.  Exact for arbitrary tensors since entries
-    are summed, not assumed equal.
+    over all ``n^{k-1}`` entries; the Jacobian blocks use the same
+    compression over ``k-2`` trailing modes.  Exact for arbitrary tensors
+    since entries are summed, not assumed equal.
     """
 
     def __init__(self, dense: np.ndarray):
         dense = np.asarray(dense, dtype=np.float64)
         self.order = dense.ndim
         self.dim = dense.shape[0]
-        self._dense = dense
-        n, k = self.dim, self.order
-        self._plan = _MonomialPlan(n, k - 1)
-        bucket = _bucket_ids(n, k - 1, n ** (k - 1))
-        self._mat = _compress(dense.reshape(n, -1), bucket, self._plan.count)
-        self._plan2 = None
-        self._mat2 = None
+        self._plan, self._mat = _compressed(dense, self.order - 1)
+        self._plan2, self._mat2 = _compressed(dense, self.order - 2)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Batched ``T x^{k-1}``: ``X`` and the result are ``(dim, R)``."""
@@ -177,33 +166,11 @@ class SymMatvec:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self(x.reshape(-1, 1))[:, 0]
 
-    def _second(self):
-        if self._mat2 is None:
-            n, k = self.dim, self.order
-            self._plan2 = _MonomialPlan(n, k - 2)
-            bucket = _bucket_ids(n, k - 2, n ** (k - 2))
-            self._mat2 = _compress(
-                self._dense.reshape(n * n, -1), bucket, self._plan2.count
-            )
-        return self._mat2, self._plan2
-
     def jacobian_blocks(self, X: np.ndarray) -> np.ndarray:
         """Batched ``(k-1) T x^{k-2}`` matrices, shape ``(R, dim, dim)``."""
-        mat2, plan2 = self._second()
         n, k = self.dim, self.order
-        vals = mat2 @ plan2.eval(X)
+        vals = self._mat2 @ self._plan2.eval(X)
         return (k - 1) * np.moveaxis(vals.reshape(n, n, -1), 2, 0)
-
-
-def _as_sym(tensor) -> SymMatvec:
-    """Contraction operator for a dense array, a :class:`SymMatvec`, or a
-    :class:`MotifTensor` densified under ``DENSE_BUDGET`` (a larger one
-    raises :class:`BudgetExceededError`)."""
-    if isinstance(tensor, SymMatvec):
-        return tensor
-    if isinstance(tensor, MotifTensor):
-        tensor = tensor.to_dense()
-    return SymMatvec(tensor)
 
 
 def _power_batch(apply_fn, X0, shift, tol, max_iter):
@@ -361,7 +328,7 @@ def _run_power_configs(sym, configs, starts, tol, max_iter, candidates, extras):
 
 
 def dominant_eigen(
-    tensor,
+    tensor: np.ndarray,
     restarts: int = 200,
     seed: int = 0,
     tol: float = 1e-10,
@@ -377,13 +344,11 @@ def dominant_eigen(
     leaves repelling.  Pooled candidates are deduplicated, polished by
     Newton correction, and the pair of largest magnitude wins, with ties
     broken toward the larger eigenvalue and then the lexicographically
-    larger vector.  Like :func:`spectrum_sample`, it densifies a
-    :class:`MotifTensor` under ``DENSE_BUDGET`` and raises
-    :class:`BudgetExceededError` for a larger one.
+    larger vector.  ``tensor`` is a dense symmetric array.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    sym = _as_sym(tensor)
+    sym = SymMatvec(tensor)
     n, k = sym.dim, sym.order
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((n, restarts))
@@ -477,7 +442,7 @@ def _select_best(pairs, tie_tol=1e-8):
     return max(group, key=lambda p: tuple(np.round(p.vector, 8)))
 
 
-def spectrum_sample(tensor, restarts: int = 2000, seed: int = 0) -> list[EigenPair]:
+def spectrum_sample(tensor: np.ndarray, restarts: int = 2000, seed: int = 0) -> list[EigenPair]:
     """Sample distinct Z-eigenvalues of a small tensor, largest |value| first.
 
     Runs a batched Newton corrector on the eigenpair equations from random
@@ -486,9 +451,9 @@ def spectrum_sample(tensor, restarts: int = 2000, seed: int = 0) -> list[EigenPa
     saddle-type pairs, so repeated sampling recovers small spectra.
     Converged eigenvalues are deduplicated within ``DEDUP_TOL``; odd-order
     pairs are reported with nonnegative eigenvalue (their negations are
-    eigenpairs by sign symmetry).
+    eigenpairs by sign symmetry).  ``tensor`` is a dense symmetric array.
     """
-    sym = _as_sym(tensor)
+    sym = SymMatvec(tensor)
     k = sym.order
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((sym.dim, restarts))
@@ -507,30 +472,25 @@ def spectrum_sample(tensor, restarts: int = 2000, seed: int = 0) -> list[EigenPa
 
 
 def verify_decoupling(
-    tensor_a,
-    tensor_b,
+    tensor_a: np.ndarray,
+    tensor_b: np.ndarray,
     restarts: int = 5000,
     seed: int = 0,
     tol: float = 1e-10,
 ) -> DecouplingReport:
-    """Compare dominant pairs of two tensors and of their product tensor.
+    """Compare dominant pairs of two dense symmetric tensors and of their
+    product tensor.
 
     All three pairs are computed independently (the product side runs on the
     explicitly materialized product tensor), so the report measures how well
-    the product's dominant pair factorizes rather than assuming it does.  A
-    product tensor above ``kron.EXPLICIT_BUDGET`` entries raises
-    :class:`BudgetExceededError` before any eigenpair is computed.
+    the product's dominant pair factorizes rather than assuming it does.  The
+    product is built first, so one above ``kron.EXPLICIT_BUDGET`` entries
+    raises :class:`BudgetExceededError` before any eigenpair is computed.
     """
-    pair = KronPair(tensor_a, tensor_b)
-    size = (pair.dim_a * pair.dim_b) ** pair.order
-    if size > kron.EXPLICIT_BUDGET:
-        raise BudgetExceededError(
-            f"product tensor would have {size} entries (budget {kron.EXPLICIT_BUDGET})"
-        )
+    dense_kron = explicit_kron(KronPair(tensor_a, tensor_b))
     seeds = np.random.SeedSequence(seed).spawn(3)
     dom_a = dominant_eigen(tensor_a, restarts, seeds[0], tol)
     dom_b = dominant_eigen(tensor_b, restarts, seeds[1], tol)
-    dense_kron = explicit_kron(pair)
     dom_k = dominant_eigen(dense_kron, restarts, seeds[2], tol)
     eig_gap = abs(dom_k.eigenvalue - dom_a.eigenvalue * dom_b.eigenvalue)
     joint = np.kron(dom_b.vector, dom_a.vector)

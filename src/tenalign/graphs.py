@@ -101,7 +101,7 @@ def parse_ints(tokens, where: str) -> list:
         ) from None
 
 
-def load_edge_list(path, n: int | None = None) -> Graph:
+def load_edge_list(path) -> Graph:
     """Read a whitespace-separated 1-based edge list.
 
     Lines starting with ``#`` are comments; a ``# vertices: N`` comment pins
@@ -111,6 +111,7 @@ def load_edge_list(path, n: int | None = None) -> Graph:
     raise :class:`InputFormatError` naming the file and line.
     """
     raw = []
+    n = None
     max_id = max_line = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -260,27 +261,25 @@ def clique_tensor(graph: Graph, k: int) -> MotifTensor:
     return MotifTensor(k, graph.n, cliques, np.ones(cliques.shape[0]))
 
 
-def nearest_rows(points: np.ndarray, rows, ks) -> list:
-    """Exact brute-force nearest neighbours of selected rows of ``points``.
+def nearest_rows(points: np.ndarray, ks) -> list:
+    """Exact brute-force nearest neighbours of every row of ``points``.
 
-    For each query ``rows[q]`` returns the indices of the ``ks[q]`` other
-    rows closest in squared 2-norm, nearest first (``ks`` is one count or
-    one per query).  Equal distances break toward the lower index, so the
-    neighbour sets are deterministic even when distances tie.  Distances
-    are computed in blocks of at most ``KNN_CHUNK`` query-point pairs to
-    keep memory bounded.
+    For each row ``q`` returns the indices of the ``ks[q]`` other rows
+    closest in squared 2-norm, nearest first (``ks`` is one count or one per
+    row).  Equal distances break toward the lower index, so the neighbour
+    sets are deterministic even when distances tie.  Distances are computed
+    in blocks of at most ``KNN_CHUNK`` query-point pairs to keep memory
+    bounded.
     """
     points = np.asarray(points, dtype=np.float64)
-    rows = np.asarray(rows, dtype=np.int64)
-    ks = np.broadcast_to(np.asarray(ks, dtype=np.int64), rows.shape)
     n = points.shape[0]
+    ks = np.broadcast_to(np.asarray(ks, dtype=np.int64), (n,))
     out = []
     chunk = max(1, KNN_CHUNK // max(n, 1))
-    for lo in range(0, rows.size, chunk):
-        block = rows[lo:lo + chunk]
-        diff = points[block, None, :] - points[None, :, :]
+    for lo in range(0, n, chunk):
+        diff = points[lo:lo + chunk, None, :] - points[None, :, :]
         dists = np.einsum("ijk,ijk->ij", diff, diff)
-        for d, row, k in zip(dists, block, ks[lo:lo + chunk]):
+        for row, (d, k) in enumerate(zip(dists, ks[lo:lo + chunk]), lo):
             d[row] = np.inf
             idx = np.argpartition(d, k - 1)[:k]
             out.append(idx[np.lexsort((idx, d[idx]))])

@@ -273,8 +273,8 @@ def local_search(
     start_score = (state.motifs, state.edges)
     k_a = min(opts.resolve_k(factors.rank), graph_a.n - 1)
     k_b = min(opts.resolve_k(factors.rank), graph_b.n - 1)
-    knn_a = nearest_rows(factors.u, np.arange(graph_a.n), k_a) if k_a >= 1 else None
-    knn_b = nearest_rows(factors.v, np.arange(graph_b.n), k_b) if k_b >= 1 else None
+    knn_a = nearest_rows(factors.u, k_a) if k_a >= 1 else None
+    knn_b = nearest_rows(factors.v, k_b) if k_b >= 1 else None
     cands_a = _candidate_lists(knn_a, graph_a.adjacency)
     cands_b = _candidate_lists(knn_b, graph_b.adjacency)
     ma = state.match_a

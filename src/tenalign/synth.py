@@ -66,7 +66,7 @@ def rgg(n: int, seed=0) -> Graph:
         return Graph(1, np.empty((0, 2), dtype=np.int64))
     ks = np.floor(rng.lognormal(mean=math.log(5.0), sigma=1.0, size=n) + 0.5)
     ks = np.clip(ks, 1, n - 1).astype(np.int64)
-    near = nearest_rows(points, np.arange(n), ks)
+    near = nearest_rows(points, ks)
     pairs = np.column_stack([np.repeat(np.arange(n), ks), np.concatenate(near)])
     return Graph(n, np.unique(np.sort(pairs, axis=1), axis=0))
 

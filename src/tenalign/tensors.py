@@ -5,10 +5,7 @@ hyperedge, where a hyperedge is a strictly increasing ``k``-tuple of vertex
 indices.  The represented tensor is fully symmetric: the entry at any
 permutation of a stored tuple equals the stored weight, and every entry with
 a repeated index is zero.  All contraction routines account for the ``k!``
-implied symmetric orientations analytically.
-
-Vertices are 0-based everywhere in memory; the text file format is 1-based
-and conversion happens only in :func:`load_tensor` / :func:`save_tensor`.
+implied symmetric orientations analytically.  Vertices are 0-based.
 """
 
 from __future__ import annotations
@@ -20,18 +17,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    InputFormatError,
-)
+from .errors import BudgetExceededError, DimensionMismatchError
 
-__all__ = [
-    "MotifTensor",
-    "ttv_same",
-    "load_tensor",
-    "save_tensor",
-]
+__all__ = ["MotifTensor", "ttv_same"]
 
 DENSE_BUDGET = 4_000_000  # max number of entries a densified tensor may have, read at call time
 
@@ -172,46 +160,3 @@ def ttv_same(tensor: MotifTensor, x: np.ndarray) -> np.ndarray:
     contrib = (math.factorial(k - 1) * w)[:, None] * _exclusive_products(x[edges])
     np.add.at(out, edges.ravel(), contrib.ravel())
     return out
-
-
-def load_tensor(path) -> MotifTensor:
-    """Read the text tensor format: header ``k n nnz`` then hyperedge lines.
-
-    Each following line holds ``k`` strictly increasing 1-based indices and a
-    weight; violations raise :class:`InputFormatError` naming the file.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    try:
-        k, n, nnz = (int(t) for t in tokens[:3])
-        body = np.asarray(tokens[3:], dtype=np.float64)
-    except ValueError:
-        raise InputFormatError(
-            f"{path}: expected a 'k n nnz' integer header and numeric lines"
-        ) from None
-    if k < 2 or n < 1 or nnz < 0:
-        raise InputFormatError(f"{path}: bad header 'k={k} n={n} nnz={nnz}'")
-    if body.size != nnz * (k + 1):
-        raise InputFormatError(
-            f"{path}: expected {nnz} lines of {k} indices plus a weight"
-        )
-    data = body.reshape(nnz, k + 1)
-    edges = data[:, :k]
-    if not np.all(edges == np.round(edges)):
-        raise InputFormatError(f"{path}: vertex indices must be integers")
-    edges = edges.astype(np.int64)
-    if edges.size and (edges.min() < 1 or edges.max() > n):
-        raise InputFormatError(f"{path}: vertex indices must lie in 1..{n}")
-    try:
-        return MotifTensor(k, n, edges - 1, data[:, k])
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-
-
-def save_tensor(tensor: MotifTensor, path) -> None:
-    """Write the text tensor format (1-based indices)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{tensor.order} {tensor.dim} {tensor.nnz}\n")
-        for row, w in zip(tensor.hyperedges, tensor.weights):
-            idx = " ".join(str(v + 1) for v in row)
-            fh.write(f"{idx} {w:.17g}\n")

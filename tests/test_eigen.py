@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import dense_contract, random_motif
+from tenalign import eigen
 from tenalign.errors import BudgetExceededError
 from tenalign.eigen import (
     EigenPair,
     SymMatvec,
-    _as_sym,
     _power_batch,
     dominant_eigen,
     random_symmetric_tensor,
@@ -17,7 +17,6 @@ from tenalign.eigen import (
     symmetrize,
     verify_decoupling,
 )
-from tenalign.tensors import MotifTensor
 
 
 def diagonal_tensor(dim, order=3):
@@ -65,7 +64,7 @@ def sshopm(tensor, shift, x0, tol=1e-10, max_iter=500):
     """The former single-start shifted power iteration, the oracle of
     ``eigen._power_batch``: ``x <- normalize(T x^{k-1} + shift * x)`` until
     the Rayleigh estimate changes by less than ``tol``."""
-    sym = _as_sym(tensor)
+    sym = SymMatvec(tensor)
     x = np.asarray(x0, dtype=np.float64) / np.linalg.norm(x0)
     lam_prev = np.inf
     for _ in range(max_iter):
@@ -90,7 +89,7 @@ class TestSshopm:
 
     def test_triangle_uniform_fixed_point(self, triangle):
         x0 = np.ones(3) / math.sqrt(3)
-        pair = sshopm(triangle, 0.0, x0)
+        pair = sshopm(triangle.to_dense(), 0.0, x0)
         assert pair.eigenvalue == pytest.approx(2.0 / math.sqrt(3))
         assert pair.residual <= 1e-12
 
@@ -152,7 +151,7 @@ class TestDominant:
         assert abs(pair.eigenvalue) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_triangle(self, triangle):
-        pair = dominant_eigen(triangle, restarts=200, seed=2)
+        pair = dominant_eigen(triangle.to_dense(), restarts=200, seed=2)
         assert pair.eigenvalue == pytest.approx(2.0 / math.sqrt(3), abs=1e-9)
 
     def test_vector_is_unit(self, rng):
@@ -161,7 +160,7 @@ class TestDominant:
 
     def test_nonnegative_tensor_gives_nonnegative_value(self, rng):
         for _ in range(5):
-            t = random_motif(3, int(rng.integers(3, 6)), rng)
+            t = random_motif(3, int(rng.integers(3, 6)), rng).to_dense()
             pair = dominant_eigen(t, restarts=150, seed=int(rng.integers(1 << 30)))
             assert pair.eigenvalue >= 0
 
@@ -177,14 +176,6 @@ class TestDominant:
         b = dominant_eigen(T, restarts=200, seed=11)
         assert a.eigenvalue == b.eigenvalue
         assert np.array_equal(a.vector, b.vector)
-
-    def test_over_budget_motif_tensor_raises(self):
-        # 200^3 entries exceed DENSE_BUDGET: every routine refuses to densify
-        big = MotifTensor.empty(3, 200)
-        with pytest.raises(BudgetExceededError):
-            dominant_eigen(big, restarts=10)
-        with pytest.raises(BudgetExceededError):
-            spectrum_sample(big, restarts=10)
 
 
 class TestSpectrum:
@@ -231,11 +222,17 @@ class TestDecoupling:
         assert report.vec_gap <= 1e-9
 
     def test_triangle_pair(self, triangle):
-        report = verify_decoupling(triangle, triangle, restarts=1500, seed=1)
+        dense = triangle.to_dense()
+        report = verify_decoupling(dense, dense, restarts=1500, seed=1)
         assert report.lambda_kron == pytest.approx(4.0 / 3.0, abs=1e-9)
         assert report.vec_gap <= 1e-6
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # the budget is checked before any eigenpair is computed
+        def solve(*args, **kwargs):
+            raise AssertionError("dominant_eigen ran on an over-budget pair")
+
+        monkeypatch.setattr(eigen, "dominant_eigen", solve)
         big = np.zeros((40,) * 3)
         with pytest.raises(BudgetExceededError):
             verify_decoupling(big, big, restarts=10, seed=0)

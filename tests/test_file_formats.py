@@ -1,9 +1,8 @@
-"""Round-trip and malformed-input tests for the four text file formats.
+"""Round-trip and malformed-input tests for the three text file formats.
 
-Edge lists, truth maps, matchings and motif tensors must survive a save and
-load unchanged, and every malformed file must fail with an
-``InputFormatError`` whose message names the file (and, for the line-based
-formats, the offending line).
+Edge lists, truth maps and matchings must survive a save and load
+unchanged, and every malformed file must fail with an ``InputFormatError``
+whose message names the file (and, where one line is at fault, the line).
 """
 
 import os
@@ -20,7 +19,6 @@ from tenalign.errors import InputFormatError
 from tenalign.graphs import Graph, load_edge_list, save_edge_list
 from tenalign.matching import Matching
 from tenalign.records import load_matching, load_truth, save_matching, save_truth
-from tenalign.tensors import MotifTensor, load_tensor, save_tensor
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -64,17 +62,6 @@ def partial_injections(draw):
     return n_rows, n_cols, list(zip(rows, cols))
 
 
-@st.composite
-def motif_tensors(draw):
-    k = draw(st.integers(2, 4))
-    n = draw(st.integers(k, 7))
-    tuples = list(combinations(range(n), k))
-    edges = draw(st.lists(st.sampled_from(tuples), unique=True))
-    positive = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
-    weights = draw(st.lists(positive, min_size=len(edges), max_size=len(edges)))
-    return MotifTensor.from_hyperedges(k, n, edges, weights or None)
-
-
 class TestRoundTrip:
     @PROPERTY
     @given(graph=graphs())
@@ -105,16 +92,6 @@ class TestRoundTrip:
             loaded = load_matching(path)
         assert loaded == matching
 
-    @PROPERTY
-    @given(tensor=motif_tensors())
-    def test_tensor(self, tensor):
-        with text_file() as path:
-            save_tensor(tensor, path)
-            loaded = load_tensor(path)
-        assert (loaded.order, loaded.dim) == (tensor.order, tensor.dim)
-        assert np.array_equal(loaded.hyperedges, tensor.hyperedges)
-        assert np.array_equal(loaded.weights, tensor.weights)
-
 
 class TestEdgeListErrors:
     @PROPERTY
@@ -128,9 +105,9 @@ class TestEdgeListErrors:
         raises_at(load_edge_list, "# vertices: 3\n1 2\n2 4\n1 3\n", ":3:", "exceeds")
 
     def test_id_above_given_count(self):
-        with text_file("1 2\n5 1\n") as path:
-            with pytest.raises(InputFormatError, match=":2: vertex id 5 exceeds"):
-                load_edge_list(path, n=4)
+        with text_file("1 2\n# vertices: 4\n5 1\n") as path:
+            with pytest.raises(InputFormatError, match=":3: vertex id 5 exceeds"):
+                load_edge_list(path)
 
     @pytest.mark.parametrize("count", ["many", "-1", "2.0"])
     def test_bad_vertex_comment(self, count):
@@ -175,22 +152,3 @@ class TestMatchingErrors:
     def test_invalid_pairs_name_file(self, rows):
         raises_at(load_matching, f"# shape: 3 3\n{rows}", ":")
 
-
-class TestTensorErrors:
-    @pytest.mark.parametrize(
-        "content",
-        [
-            "",
-            "3 3\n",
-            "3 x 1\n1 2 3 1.0\n",
-            "3 3 1\n1 2 3 heavy\n",
-            "1 3 1\n1 1.0\n",
-            "3 3 -1\n",
-            "3 3 1\n1 2 3 -1.0\n",
-            "3 4 2\n1 2 3 1.0\n1 2 3 2.0\n",
-            "3 4 1\n1 2.5 3 1.0\n",
-            "3 4 1\n1 2 3 nan\n",
-        ],
-    )
-    def test_malformed_names_file(self, content):
-        raises_at(load_tensor, content, ":")

@@ -82,21 +82,14 @@ def test_rgg_spawned_seeds_bit_identical():
 def test_knn_table_bit_identical(n, r, k, rng):
     # local search builds its neighbour table as nearest_rows over all rows
     for F in (rng.standard_normal((n, r)), tied_factors(n, r, rng)):
-        table = np.array(nearest_rows(F, np.arange(n), k))
+        table = np.array(nearest_rows(F, k))
         assert np.array_equal(table, knn_table_oracle(F.copy(), k))
-
-
-def test_single_query_matches_table_on_ties(rng):
-    F = tied_factors(30, 2, rng)
-    table = knn_table_oracle(F.copy(), 6)
-    for row in range(30):
-        assert nearest_rows(F, [row], 6)[0].tolist() == table[row].tolist()
 
 
 def test_chunking_does_not_change_neighbours(monkeypatch, rng):
     F = tied_factors(50, 3, rng)
     ks = rng.integers(1, 49, size=50)
-    whole = nearest_rows(F, np.arange(50), ks)
+    whole = nearest_rows(F, ks)
     monkeypatch.setattr(graphs, "KNN_CHUNK", 7 * 50)
-    blocked = nearest_rows(F, np.arange(50), ks)
+    blocked = nearest_rows(F, ks)
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))

@@ -139,8 +139,8 @@ def oracle_local_search(matching, graph_a, graph_b, tensor_a, tensor_b, factors,
     start_score = (state.motifs, state.edges)
     k_a = min(opts.resolve_k(factors.rank), graph_a.n - 1)
     k_b = min(opts.resolve_k(factors.rank), graph_b.n - 1)
-    knn_a = nearest_rows(factors.u, np.arange(graph_a.n), k_a) if k_a >= 1 else None
-    knn_b = nearest_rows(factors.v, np.arange(graph_b.n), k_b) if k_b >= 1 else None
+    knn_a = nearest_rows(factors.u, k_a) if k_a >= 1 else None
+    knn_b = nearest_rows(factors.v, k_b) if k_b >= 1 else None
     adj_a, adj_b = graph_a.adjacency, graph_b.adjacency
     for _ in range(opts.max_sweeps):
         stats.sweeps += 1

@@ -314,13 +314,14 @@ class TestEigcheckCommand:
         [
             ("--dims", "0"), ("--dims", "2,-1"), ("--orders", "1"), ("--orders", "3,0"),
             ("--dims", "2,x"), ("--orders", "3,y"), ("--trials", "-3"),
+            ("--tol", "nan"), ("--tol", "-1"), ("--restarts", "0"),
         ],
     )
     def test_rejects_out_of_range_entries(self, tmp_path, capsys, flag, value):
         out = str(tmp_path / "eig.jsonl")
         argv = ["eigcheck", "--trials", "1", "--restarts", "10", flag, value, "--out", out]
         assert main(argv) == 2
-        assert flag in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"tenalign: {flag} ")
         assert not os.path.exists(out)
 
 
@@ -374,6 +375,8 @@ class TestSynthCommand:
             ("--sweeps", "-1", "lambda-tame+local-search"),
             ("--alpha", "2", "lambda-tame+local-search"),
             ("--beta", "-1", "lambda-tame+local-search"),
+            ("--tol", "nan", "tame"),
+            ("--tol", "-1", "lambda-tame"),
             ("--iters", "-1", "lambda-tame+local-search"),
             ("--iters", "0", "lambda-tame,tame"),
             ("--iters", "0", "lowrank-tame"),

@@ -13,7 +13,7 @@ from tenalign.synth import make_problem
 
 
 def knn(F, row, k):
-    return nearest_rows(F, [row], k)[0]
+    return nearest_rows(F, k)[row]
 
 
 class TestKnn:

@@ -13,11 +13,6 @@ import pytest
 
 REPO = Path(__file__).parent.parent
 SOURCES = sorted((REPO / "src" / "tenalign").glob("*.py"))
-# public names kept without a caller in the pipeline, and why
-UNCALLED_ALLOWED = {
-    "tensors.load_tensor": "reads the documented text tensor format (README, File formats)",
-    "tensors.save_tensor": "writes the documented text tensor format (README, File formats)",
-}
 
 
 def _imported_roots(node):
@@ -68,6 +63,6 @@ def test_public_names_have_a_pipeline_caller():
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             qualified = f"{path.stem}.{node.name}"
-            if node.name not in used and qualified not in UNCALLED_ALLOWED:
+            if node.name not in used:
                 uncalled.append(f"{qualified} (line {node.lineno})")
     assert not uncalled, "public names without a pipeline caller: " + ", ".join(uncalled)

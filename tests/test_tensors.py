@@ -9,12 +9,7 @@ from tenalign.errors import (
     BudgetExceededError,
     DimensionMismatchError,
 )
-from tenalign.tensors import (
-    MotifTensor,
-    load_tensor,
-    save_tensor,
-    ttv_same,
-)
+from tenalign.tensors import MotifTensor, ttv_same
 
 
 def ttv_multi(tensor, xs):
@@ -209,37 +204,3 @@ class TestDense:
         with pytest.raises(BudgetExceededError):
             t.to_dense()
 
-
-class TestFileFormat:
-    def test_round_trip(self, tmp_path, rng):
-        t = random_motif(4, 6, rng)
-        path = tmp_path / "tensor.txt"
-        save_tensor(t, path)
-        loaded = load_tensor(path)
-        assert loaded.order == t.order and loaded.dim == t.dim
-        assert np.array_equal(loaded.hyperedges, t.hyperedges)
-        assert np.allclose(loaded.weights, t.weights)
-
-    def test_header_contents(self, tmp_path, triangle):
-        path = tmp_path / "tri.txt"
-        save_tensor(triangle, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "3 3 1"
-
-    def test_rejects_non_increasing_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3 3 1\n2 1 3 1.0\n")
-        with pytest.raises(ValueError, match="strictly increasing"):
-            load_tensor(path)
-
-    def test_rejects_out_of_range_index(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3 3 1\n1 2 4 1.0\n")
-        with pytest.raises(ValueError, match="1..3"):
-            load_tensor(path)
-
-    def test_rejects_truncated_file(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3 3 2\n1 2 3 1.0\n")
-        with pytest.raises(ValueError, match="expected 2"):
-            load_tensor(path)
