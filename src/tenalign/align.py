@@ -76,8 +76,8 @@ class AlignOptions:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         if not 0.0 <= self.tol < math.inf:

@@ -239,6 +239,7 @@ def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed
             "nnz_b": tensor_b.nnz,
         },
         "seed": seed,
+        "environment": rec.environment(),
         "per_iteration": rec.iteration_entries(output),
         "final": final,
         "timings": {

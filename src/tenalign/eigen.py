@@ -39,6 +39,7 @@ __all__ = [
 
 POWER_MAX_ITER = 300  # power steps per start in dominant_eigen; twice that after rescaling
 BASE_SHIFT = 1.0  # exploring shifts of dominant_eigen are 0 and +-BASE_SHIFT
+POWER_BLOCK = 1 << 19  # monomial values per power-iteration block of dominant_eigen (4 MiB)
 SPECTRUM_TOL = 1e-10  # Newton acceptance tolerance of spectrum_sample
 DEDUP_TOL = 1e-6  # spectrum_sample merges eigenvalues closer than this
 
@@ -173,41 +174,43 @@ class SymMatvec:
         return (k - 1) * np.moveaxis(vals.reshape(n, n, -1), 2, 0)
 
 
-def _power_batch(apply_fn, X0, shift, tol, max_iter):
-    """Masked batched power iteration; returns per-column (lam, x, converged)."""
-    n, r = X0.shape
-    X = X0.copy()
-    lam = np.full(r, np.inf)
+def _power_batch(sym: SymMatvec, X0, sign, shift, tol, max_iter):
+    """Masked batched power iteration, column ``j`` on ``sign[j] * T`` with
+    shift ``shift[j]``; returns per-column (lam of ``sign[j] * T``, x,
+    converged).
+
+    Only the active columns are kept, with their sign, shift and previous
+    Rayleigh estimate; they are compacted on the steps where some column
+    stops, so the common step gathers and scatters nothing.
+    """
+    r = X0.shape[1]
     out_x = X0.copy()
     out_lam = np.zeros(r)
     converged = np.zeros(r, dtype=bool)
-    active = np.arange(r)
+    idx = np.arange(r)
+    X = np.ascontiguousarray(X0)
+    lam = np.full(r, np.inf)
     for _ in range(max_iter):
-        xa = X[:, active]
-        c = apply_fn(xa)
-        lam_new = np.einsum("ij,ij->j", xa, c)
-        newly = np.abs(lam_new - lam[active]) < tol
-        if newly.any():
-            idx = active[newly]
-            out_lam[idx] = lam_new[newly]
-            out_x[:, idx] = xa[:, newly]
-            converged[idx] = True
-        y = c + shift * xa
+        c = sym(X) * sign
+        lam_new = np.einsum("ij,ij->j", X, c)
+        newly = np.abs(lam_new - lam) < tol
+        y = c + shift * X
         norms = np.linalg.norm(y, axis=0)
-        dead = norms == 0
-        if dead.any():
-            idx = active[dead]
-            out_lam[idx] = lam_new[dead]
-            out_x[:, idx] = xa[:, dead]
-        keep = ~(newly | dead)
-        lam[active] = lam_new
-        kept = active[keep]
-        if kept.size == 0:
-            return out_lam, out_x, converged
-        X[:, kept] = y[:, keep] / norms[keep]
-        active = kept
-    out_lam[active] = lam[active]
-    out_x[:, active] = X[:, active]
+        stop = newly | (norms == 0)
+        lam = lam_new
+        if stop.any():
+            done = idx[stop]
+            out_lam[done] = lam[stop]
+            out_x[:, done] = X[:, stop]
+            converged[idx[newly]] = True
+            keep = ~stop
+            if not keep.any():
+                return out_lam, out_x, converged
+            idx, y, norms = idx[keep], y[:, keep], norms[keep]
+            sign, shift, lam = sign[keep], shift[keep], lam[keep]
+        X = y / norms
+    out_lam[idx] = lam
+    out_x[:, idx] = X
     return out_lam, out_x, converged
 
 
@@ -313,18 +316,32 @@ def _canonical(lam: float, x: np.ndarray, order: int):
 
 
 def _run_power_configs(sym, configs, starts, tol, max_iter, candidates, extras):
-    for ci, (sign, shift) in enumerate(configs):
-        cols = starts[:, ci::len(configs)]
-        if cols.shape[1] == 0:
-            continue
-        apply_fn = sym if sign > 0 else (lambda X: -sym(X))
-        lam, xs, conv = _power_batch(apply_fn, cols, shift, tol, max_iter)
-        lam = sign * lam  # map eigenvalues of -T back to T
-        for j in np.nonzero(conv)[0]:
-            candidates.append((float(lam[j]), xs[:, j]))
-        order = np.argsort(-np.abs(lam[~conv]))[:4]
-        unconv = np.nonzero(~conv)[0][order]
-        extras.extend((float(lam[j]), xs[:, j]) for j in unconv)
+    """Power iteration on one phase's starts, start ``i`` on config ``i %
+    len(configs)``, in blocks of at most ``POWER_BLOCK`` monomial values.
+
+    Converged pairs go to ``candidates`` and the four largest unconverged
+    ones to ``extras``, config by config and in start order.
+    """
+    r = starts.shape[1]
+    sign, shift = np.asarray(configs, dtype=np.float64)[np.arange(r) % len(configs)].T
+    lam = np.empty(r)
+    xs = np.empty_like(starts)
+    conv = np.empty(r, dtype=bool)
+    width = max(1, POWER_BLOCK // sym._plan.count)
+    for lo in range(0, r, width):
+        block = slice(lo, lo + width)
+        lam[block], xs[:, block], conv[block] = _power_batch(
+            sym, starts[:, block], sign[block], shift[block], tol, max_iter
+        )
+    lam *= sign  # map eigenvalues of -T back to T
+    step = len(configs)
+    for ci in range(step):
+        c_lam, c_xs, c_conv = lam[ci::step], xs[:, ci::step], conv[ci::step]
+        for j in np.nonzero(c_conv)[0]:
+            candidates.append((float(c_lam[j]), c_xs[:, j]))
+        order = np.argsort(-np.abs(c_lam[~c_conv]))[:4]
+        unconv = np.nonzero(~c_conv)[0][order]
+        extras.extend((float(c_lam[j]), c_xs[:, j]) for j in unconv)
 
 
 def dominant_eigen(
@@ -341,7 +358,9 @@ def dominant_eigen(
     negation, so the extra sign adds nothing there); a Newton-corrector
     sweep; and power iteration again with shifts rescaled to the largest
     magnitude found so far, which stabilizes maxima that a small fixed shift
-    leaves repelling.  Pooled candidates are deduplicated, polished by
+    leaves repelling.  The configs of a power phase share one batch, split
+    into column blocks of at most ``POWER_BLOCK`` monomial values (one block
+    for small tensors).  Pooled candidates are deduplicated, polished by
     Newton correction, and the pair of largest magnitude wins, with ties
     broken toward the larger eigenvalue and then the lexicographically
     larger vector.  ``tensor`` is a dense symmetric array.

@@ -8,8 +8,11 @@ two runs of the same seed can be compared modulo wall-clock noise.
 from __future__ import annotations
 
 import json
+import os
+import platform
 
 import numpy as np
+import scipy
 
 from .errors import InputFormatError
 from .graphs import parse_ints
@@ -26,9 +29,27 @@ __all__ = [
     "strip_timing",
     "records_equal_modulo_timing",
     "iteration_entries",
+    "environment",
 ]
 
 SCHEMA_VERSION = 1
+
+
+def _blas() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        blas = {}
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+# Read once, at import.  The BLAS libraries read their thread caps when numpy
+# loads, so the values this process started with are the ones in effect.
+_BLAS = _blas()
+_THREAD_CAPS = {
+    name: os.environ.get(name)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+}
 
 
 def _jsonable(value):
@@ -73,6 +94,19 @@ def iteration_entries(output) -> list:
             }
         )
     return entries
+
+
+def environment() -> dict:
+    """Python, numpy, scipy and BLAS versions and the BLAS thread caps
+    (``None`` where unset) of this process, for the ``environment`` block of
+    a run record."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": dict(_BLAS),
+        "threads": dict(_THREAD_CAPS),
+    }
 
 
 def strip_timing(record):

@@ -114,31 +114,37 @@ class TestSshopm:
     @pytest.mark.parametrize("order", [3, 4, 5])
     @pytest.mark.parametrize("shift", [0.0, 1.0, -1.0])
     def test_power_batch_matches_single_start_loop(self, rng, order, shift):
-        # Each column of the batched iteration must follow its own start's
-        # single-start run.  The batch sums in another order, and a run that
-        # wanders amplifies that roundoff until two correct runs part, so the
-        # tensors keep every run convergent: unshifted, an orthogonally
-        # decomposable tensor; shifted by +-1, a random one scaled so that
-        # (k-1) ||T||_F < |shift|, which makes the iteration monotone.
+        # One batch mixes the six (sign, shift) configs of dominant_eigen,
+        # signs +-1 and shifts {0, +-1}, and each column must follow its own
+        # start's single-start run on sign * T.  The case's ``shift`` leads
+        # the cycle of configs, so each config meets other columns.  The
+        # batch sums in another order, and a run that wanders amplifies that
+        # roundoff until two correct runs part, so the tensor keeps every run
+        # convergent: it is orthogonally decomposable, which the unshifted
+        # runs need, and scaled so that (k-1) ||T||_F < 1, which makes the
+        # shifted runs monotone.  At odd order a shift of -1 flips x every
+        # step and with it the sign of lambda, so those runs never stop; they
+        # are compared by their last iterate.
+        configs = [(s, b) for b in (0.0, 1.0, -1.0) for s in (1.0, -1.0)]
+        lead = [b for _, b in configs].index(shift)
+        configs = configs[lead:] + configs[:lead]
         for dim in (2, 3, 4):
-            if shift == 0.0:
-                basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0].T
-                T = sum(
-                    w * functools.reduce(np.multiply.outer, [v] * order)
-                    for w, v in zip(rng.uniform(0.5, 1.5, dim), basis)
-                )
-            else:
-                T = random_symmetric_tensor(dim, order, rng)
-                T *= 0.5 / ((order - 1) * np.linalg.norm(T))
-            X0 = rng.standard_normal((dim, 12))
+            basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0].T
+            T = sum(
+                w * functools.reduce(np.multiply.outer, [v] * order)
+                for w, v in zip(rng.uniform(0.5, 1.5, dim), basis)
+            )
+            T *= 0.5 / ((order - 1) * np.linalg.norm(T))
+            X0 = rng.standard_normal((dim, 18))
             X0 /= np.linalg.norm(X0, axis=0)
-            lam, xs, conv = _power_batch(SymMatvec(T), X0, shift, 1e-10, 300)
+            sign, shifts = np.array([configs[j % 6] for j in range(18)]).T
+            lam, xs, conv = _power_batch(SymMatvec(T), X0, sign, shifts, 1e-10, 300)
             for j in range(X0.shape[1]):
-                ref = sshopm(T, shift, X0[:, j], tol=1e-10, max_iter=300)
+                ref = sshopm(sign[j] * T, shifts[j], X0[:, j], tol=1e-10, max_iter=300)
                 assert conv[j] == ref.converged
+                assert np.allclose(xs[:, j], ref.vector, rtol=0, atol=1e-12)
                 if ref.converged:
                     assert abs(lam[j] - ref.eigenvalue) <= 1e-12
-                    assert np.allclose(xs[:, j], ref.vector, rtol=0, atol=1e-12)
 
 
 class TestDominant:
@@ -169,6 +175,18 @@ class TestDominant:
         pair = dominant_eigen(T, restarts=200, seed=4)
         c = dense_contract(T, -pair.vector, 2)
         assert np.allclose(c, -pair.eigenvalue * -pair.vector, atol=1e-9)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_blocks_match_one_block(self, rng, monkeypatch, order):
+        # a block of 7 columns splits every phase across several blocks, out
+        # of step with the 3 or 6 configs of a phase
+        T = random_symmetric_tensor(3, order, rng)
+        one = dominant_eigen(T, restarts=300, seed=5)
+        monkeypatch.setattr(eigen, "POWER_BLOCK", 7 * SymMatvec(T)._plan.count)
+        many = dominant_eigen(T, restarts=300, seed=5)
+        assert abs(many.eigenvalue - one.eigenvalue) <= 1e-12
+        assert np.allclose(many.vector, one.vector, rtol=0, atol=1e-12)
+        assert many.converged and one.converged
 
     def test_deterministic(self, rng):
         T = random_symmetric_tensor(3, 4, rng)

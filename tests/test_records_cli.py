@@ -180,6 +180,34 @@ class TestAlignCommand:
         assert all(t > 0 for t in reveal)
         assert outs[0]["timings"]["rank_reveal_seconds"] == pytest.approx(sum(reveal))
 
+    def test_environment_block(self, problem_files, tmp_path):
+        # align and synth records name the versions, the BLAS and the thread
+        # caps of the process; two runs in one process stay equal
+        outs = []
+        for name in ("e1.json", "e2.json"):
+            out = str(tmp_path / name)
+            assert main(
+                ["align", "--graph-a", problem_files["a"], "--graph-b", problem_files["b"],
+                 "--iters", "3", "--out", out]
+            ) == 0
+            outs.append(load_records(out)[0])
+        sweep = tmp_path / "sweep"
+        assert main(
+            ["synth", "--n", "20", "--model", "er", "--seed", "3", "--run", "lambda-tame",
+             "--iters", "3", "--out", str(sweep)]
+        ) == 0
+        (trial,) = load_records(sweep / "records.jsonl")
+        env = outs[0]["environment"]
+        assert env.keys() == {"python", "numpy", "scipy", "blas", "threads"}
+        assert env["numpy"] == np.__version__
+        assert env["blas"].keys() == {"name", "version"}
+        assert env["threads"] == {
+            name: os.environ.get(name)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        assert trial["environment"] == env
+        assert records_equal_modulo_timing(outs[0], outs[1])
+
     def test_accumulation_path_flagged(self, problem_files, tmp_path, monkeypatch):
         monkeypatch.setattr(kron, "COLUMN_CAP", 1)
         out = str(tmp_path / "accum.json")
@@ -210,6 +238,14 @@ class TestAlignCommand:
                 id="--sweeps--1-max_sweeps",
             ),
             pytest.param("--knn", "0", "--knn must be >= 1, got 0", id="--knn-0-k_neighbors"),
+            pytest.param(
+                "--beta", "nan", "--beta must be finite and nonnegative, got nan",
+                id="--beta-nan-beta",
+            ),
+            pytest.param(
+                "--beta", "inf", "--beta must be finite and nonnegative, got inf",
+                id="--beta-inf-beta",
+            ),
             pytest.param("--knn", "x", "--knn must be an integer or 'auto', got 'x'", id="--knn-x"),
             pytest.param(
                 "--knn", "2.5", "--knn must be an integer or 'auto', got '2.5'", id="--knn-2.5"
@@ -375,6 +411,8 @@ class TestSynthCommand:
             ("--sweeps", "-1", "lambda-tame+local-search"),
             ("--alpha", "2", "lambda-tame+local-search"),
             ("--beta", "-1", "lambda-tame+local-search"),
+            ("--beta", "nan", "lambda-tame"),
+            ("--beta", "inf", "tame"),
             ("--tol", "nan", "tame"),
             ("--tol", "-1", "lambda-tame"),
             ("--iters", "-1", "lambda-tame+local-search"),
