@@ -5,10 +5,13 @@ contraction (quadratic in the motif counts) and the batched multi-vector
 contraction used to expand low-rank factor columns.  Each has one
 implementation here, deterministic run to run; :func:`ttv_tuples` is the
 only multi-vector contraction loop in the package.  Both work in blocks
-bounded by a module constant (``IMPLICIT_CHUNK``, ``TUPLE_CHUNK``), and
-neither result depends on the blocking.  The implicit contraction scatters
-with a flat ``np.add.at``; :func:`ttv_tuples` scatters each block with one
-sparse incidence product, which adds in the same order.
+bounded by a module constant (``IMPLICIT_CHUNK``, ``TUPLE_CHUNK``).  The
+implicit contraction scatters with a flat ``np.add.at`` per chunk of A rows
+and slot pair, so the order of its additions, and with it the last bits of
+its result, follows the chunk size that ``IMPLICIT_CHUNK`` sets.
+:func:`ttv_tuples` scatters each block with one sparse incidence product,
+which adds in the same order, so its result does not depend on
+``TUPLE_CHUNK``.
 """
 
 from __future__ import annotations

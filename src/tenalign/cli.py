@@ -332,6 +332,7 @@ def cmd_eigcheck(args) -> int:
                 "eig_gap": report.eig_gap,
                 "vec_gap": report.vec_gap,
                 "converged": report.all_converged,
+                "environment": rec.environment(),
                 "solve_seconds": time.perf_counter() - t0,
             }
         )

@@ -90,13 +90,20 @@ class _MonomialPlan:
     Monomials are indexed by sorted multisets in lexicographic order (the
     ``combinations_with_replacement`` order).  ``eval`` builds the values
     for a batch of vectors by one multiply per monomial and degree, reusing
-    the degree-``d-1`` values of the prefix multiset.
+    the degree-``d-1`` values of the prefix multiset.  Every degree is
+    written into a workspace the plan owns: three flat buffers, grown only
+    when a call needs more than ``count`` times its width, and viewed per
+    degree at the width of the last call.  Two of them take the values of
+    alternate degrees, the third the last coordinate of each monomial.
     """
 
     def __init__(self, n: int, degree: int):
         self.degree = degree
         self.parents = []
         self.coords = []
+        self._work = np.empty((3, 0))
+        self._width = None
+        self._views = []
         if degree < 1:
             self.count = 1
             return
@@ -116,12 +123,33 @@ class _MonomialPlan:
         self.count = count
 
     def eval(self, X: np.ndarray) -> np.ndarray:
-        """Monomial values for each column of ``X``; shape ``(count, R)``."""
+        """Monomial values for each column of ``X``; shape ``(count, R)``.
+
+        The result lives in the workspace and is overwritten by the next
+        call, so the caller consumes it at once.
+        """
+        width = X.shape[1]
         if self.degree < 1:
-            return np.ones((1, X.shape[1]))
+            return np.ones((1, width))
+        if width != self._width:
+            # the views of each degree are kept until the width changes:
+            # making them on every call costs small tensors more than the
+            # allocations it saves
+            if self._work.shape[1] < self.count * width:
+                self._work = np.empty((3, self.count * width))
+            self._views = []
+            for d, parent in enumerate(self.parents):
+                work = self._work[:, : parent.size * width].reshape(3, parent.size, width)
+                self._views.append((work[d % 2], work[2]))
+            self._width = width
         vals = X
-        for parent, coord in zip(self.parents, self.coords):
-            vals = vals[parent] * X[coord]
+        for parent, coord, (prefix, last) in zip(self.parents, self.coords, self._views):
+            # ndarray.take, not np.take (slower on small shapes); mode "clip"
+            # writes into ``out`` directly where "raise" buffers it.  The
+            # product goes into the prefix, since a third array of this size
+            # costs cache misses
+            vals = vals.take(parent, 0, prefix, "clip")
+            vals *= X.take(coord, 0, last, "clip")
         return vals
 
 
@@ -151,6 +179,13 @@ class SymMatvec:
     over all ``n^{k-1}`` entries; the Jacobian blocks use the same
     compression over ``k-2`` trailing modes.  Exact for arbitrary tensors
     since entries are summed, not assumed equal.
+
+    The monomial values go into one workspace per monomial plan, kept for
+    the operator's life and grown to its widest call: ``3 * C(n+k-2, k-1)
+    * R`` doubles for ``R`` columns (``C(n+k-3, k-2)`` for the Jacobian
+    blocks), so a solver that builds one operator allocates them once, not
+    on every step.  The returned arrays are fresh; the workspace never
+    leaves the operator.
     """
 
     def __init__(self, dense: np.ndarray):
@@ -360,10 +395,15 @@ def dominant_eigen(
     magnitude found so far, which stabilizes maxima that a small fixed shift
     leaves repelling.  The configs of a power phase share one batch, split
     into column blocks of at most ``POWER_BLOCK`` monomial values (one block
-    for small tensors).  Pooled candidates are deduplicated, polished by
-    Newton correction, and the pair of largest magnitude wins, with ties
-    broken toward the larger eigenvalue and then the lexicographically
-    larger vector.  ``tensor`` is a dense symmetric array.
+    for small tensors).  The solver builds one :class:`SymMatvec`, so one
+    monomial workspace serves every power step, the Newton sweep and the
+    polish: a power block needs at most ``3 * POWER_BLOCK`` doubles (12 MiB)
+    of it, and the Newton sweep, whose width is ``restarts // 4``, needs
+    ``3 * C(n+k-2, k-1) * (restarts // 4)``.  Pooled candidates are
+    deduplicated, polished by Newton correction, and the pair of largest
+    magnitude wins, with ties broken toward the larger eigenvalue and then
+    the lexicographically larger vector.  ``tensor`` is a dense symmetric
+    array.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

@@ -10,6 +10,7 @@ from tenalign.errors import BudgetExceededError
 from tenalign.eigen import (
     EigenPair,
     SymMatvec,
+    _MonomialPlan,
     _power_batch,
     dominant_eigen,
     random_symmetric_tensor,
@@ -58,6 +59,51 @@ class TestSymMatvec:
         batched = sym(X)
         for j in range(5):
             assert np.allclose(batched[:, j], sym.matvec(X[:, j]))
+
+
+def former_monomials(plan, X):
+    """The former allocating evaluation, the oracle of ``_MonomialPlan.eval``."""
+    if plan.degree < 1:
+        return np.ones((1, X.shape[1]))
+    vals = X
+    for parent, coord in zip(plan.parents, plan.coords):
+        vals = vals[parent] * X[coord]
+    return vals
+
+
+class TestMonomialPlan:
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    @pytest.mark.parametrize("degree", range(5))
+    def test_bit_identical_to_former_expression(self, rng, n, degree):
+        # one plan at falling then rising widths reuses, then grows, its
+        # workspace, and a repeated width reuses its views; every result must
+        # still equal the oracle bit for bit
+        plan = _MonomialPlan(n, degree)
+        works = []
+        for width in (166, 40, 40, 1, 209):
+            X = rng.standard_normal((n, width))
+            X[0, ::5] = -0.0
+            got = plan.eval(X)
+            want = former_monomials(plan, X)
+            assert got.shape == want.shape == (plan.count, width)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            if plan.parents:
+                assert np.shares_memory(got, plan._work)
+            works.append(plan._work)
+        if plan.parents:
+            assert works[0] is works[1] is works[2] is works[3] is not works[4]
+            assert works[4].shape == (3, plan.count * 209)
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_results_do_not_alias_the_workspace(self, rng, order):
+        sym = SymMatvec(random_symmetric_tensor(3, order, rng))
+        X, Y = rng.standard_normal((2, 3, 7))
+        c, jac = sym(X), sym.jacobian_blocks(X)
+        c0, jac0 = c.copy(), jac.copy()
+        sym(Y)
+        sym.jacobian_blocks(Y)
+        assert np.array_equal(c, c0)
+        assert np.array_equal(jac, jac0)
 
 
 def sshopm(tensor, shift, x0, tol=1e-10, max_iter=500):

@@ -33,10 +33,14 @@ TOL = 1e-12
 
 
 def run_grid(workdir) -> list:
-    """The records of the pinned grid, without their timing fields."""
+    """The records of the pinned grid, without their timing fields and their
+    ``environment`` block, which describe the machine and not the result."""
     out = os.path.join(workdir, "eig.jsonl")
     assert cli.main([*ARGV, "--out", out]) == 0
-    return [rec.strip_timing(r) for r in rec.load_records(out)]
+    return [
+        {k: v for k, v in rec.strip_timing(r).items() if k != "environment"}
+        for r in rec.load_records(out)
+    ]
 
 
 @pytest.fixture(scope="module")

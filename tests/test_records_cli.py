@@ -181,8 +181,8 @@ class TestAlignCommand:
         assert outs[0]["timings"]["rank_reveal_seconds"] == pytest.approx(sum(reveal))
 
     def test_environment_block(self, problem_files, tmp_path):
-        # align and synth records name the versions, the BLAS and the thread
-        # caps of the process; two runs in one process stay equal
+        # align, synth and eigcheck records name the versions, the BLAS and
+        # the thread caps of the process; two runs in one process stay equal
         outs = []
         for name in ("e1.json", "e2.json"):
             out = str(tmp_path / name)
@@ -197,6 +197,12 @@ class TestAlignCommand:
              "--iters", "3", "--out", str(sweep)]
         ) == 0
         (trial,) = load_records(sweep / "records.jsonl")
+        eig_out = str(tmp_path / "eig.jsonl")
+        assert main(
+            ["eigcheck", "--dims", "2", "--orders", "3", "--trials", "2", "--restarts", "10",
+             "--out", eig_out]
+        ) == 0
+        eig_records = load_records(eig_out)
         env = outs[0]["environment"]
         assert env.keys() == {"python", "numpy", "scipy", "blas", "threads"}
         assert env["numpy"] == np.__version__
@@ -206,6 +212,7 @@ class TestAlignCommand:
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         }
         assert trial["environment"] == env
+        assert [r["environment"] for r in eig_records] == [env, env]
         assert records_equal_modulo_timing(outs[0], outs[1])
 
     def test_accumulation_path_flagged(self, problem_files, tmp_path, monkeypatch):
