@@ -299,8 +299,8 @@ def cmd_eigcheck(args) -> int:
     orders = _int_list(args.orders, "--orders", 2)
     if args.restarts < 1:
         raise TenalignError(f"--restarts must be >= 1, got {args.restarts}")
-    if not 0.0 <= args.tol < math.inf:
-        raise TenalignError(f"--tol must be finite and nonnegative, got {args.tol}")
+    if not 0.0 < args.tol < math.inf:
+        raise TenalignError(f"--tol must be finite and positive, got {args.tol}")
     out_records = []
     root = np.random.SeedSequence(args.seed)
     for trial, child in enumerate(root.spawn(_trials(args))):

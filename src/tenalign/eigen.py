@@ -9,7 +9,8 @@ magnitude found, since too small a shift leaves maxima unstable) combined
 with a Newton-corrector sweep, polishing pooled candidates to machine
 precision; :func:`spectrum_sample` samples the full small-tensor spectrum
 with the Newton corrector alone, which also reaches saddle-type pairs that
-no shifted power iteration attracts to.
+no shifted power iteration attracts to.  One batched Newton corrector serves
+the sweep, the polish and the spectrum sample.
 
 :func:`verify_decoupling` computes the dominant pairs of two tensors and of
 their product tensor independently and reports how closely the product pair
@@ -249,68 +250,33 @@ def _power_batch(sym: SymMatvec, X0, sign, shift, tol, max_iter):
     return out_lam, out_x, converged
 
 
-def _newton_refine(sym: SymMatvec, x, lam, tol=1e-13, max_iter=30):
-    """Newton correction of an approximate eigenpair on the dense operator."""
-    n = sym.dim
-    x = x.astype(np.float64).copy()
-    lam = float(lam)
-    for _ in range(max_iter):
-        c = sym.matvec(x)
-        f = np.concatenate([c - lam * x, [(np.dot(x, x) - 1.0) / 2.0]])
-        scale = max(1.0, abs(lam))
-        if np.linalg.norm(f) <= tol * scale:
-            break
-        jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = sym.jacobian_blocks(x.reshape(-1, 1))[0]
-        jac[:n, :n] -= lam * np.eye(n)
-        jac[:n, n] = -x
-        jac[n, :n] = x
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        x = x + step[:n]
-        lam = lam + step[n]
-    norm = np.linalg.norm(x)
-    if norm == 0 or not np.isfinite(norm):
-        return None
-    x = x / norm
-    c = sym.matvec(x)
-    lam = float(np.dot(x, c))
-    residual = float(np.linalg.norm(c - lam * x))
-    return lam, x, residual
+def _newton(sym: SymMatvec, X: np.ndarray, lam: np.ndarray, accept: float, max_steps: int):
+    """Batched Newton corrector on the eigenpair equations ``T x^{k-1} = lam
+    x``, ``x.x = 1``, from the columns of ``X`` with estimates ``lam``.
 
-
-def _newton_candidates(sym: SymMatvec, X0: np.ndarray, tol: float, max_steps: int = 60):
-    """Batched Newton corrector on the eigenpair equations from given starts.
-
-    Returns converged ``(eigenvalue, vector, residual)`` triples.  Newton
+    A column stops when its residual is at most ``accept * max(1, |lam|)``
+    (it converged), when its step is not finite or longer than 5, or after
+    ``max_steps`` steps; a singular batch is solved by least squares.
+    Returns the final ``X`` and ``lam``, each column's residual at its last
+    check, and the converged columns in the order they converged.  Newton
     converges to any regular stationary pair near which a start lands,
     including saddle-type pairs that no shifted power iteration attracts to.
     """
     n = sym.dim
-    X = X0.copy()
-    restarts = X.shape[1]
-    lam = np.einsum("ij,ij->j", X, sym(X))
-    alive = np.ones(restarts, dtype=bool)
-    accept = max(tol, 1e-12)
-    found = []
+    X = X.copy()
+    lam = np.array(lam, dtype=np.float64)
+    res = np.full(X.shape[1], np.inf)
+    idx = np.arange(X.shape[1])
+    done = [idx[:0]]
     for _ in range(max_steps):
-        idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
-        xa = X[:, idx]
-        la = lam[idx]
-        c = sym(xa)
-        f_eig = c - la * xa
+        xa, la = X[:, idx], lam[idx]
+        f_eig = sym(xa) - la * xa
         f_norm = (np.einsum("ij,ij->j", xa, xa) - 1.0) / 2.0
-        fnorms = np.sqrt(np.einsum("ij,ij->j", f_eig, f_eig) + f_norm**2)
-        conv = fnorms <= accept * np.maximum(1.0, np.abs(la))
-        for j in np.nonzero(conv)[0]:
-            found.append((float(la[j]), xa[:, j].copy(), float(fnorms[j])))
-        alive[idx[conv]] = False
+        res[idx] = np.sqrt(np.einsum("ij,ij->j", f_eig, f_eig) + f_norm**2)
+        conv = res[idx] <= accept * np.maximum(1.0, np.abs(la))
+        done.append(idx[conv])
         idx = idx[~conv]
         if idx.size == 0:
             break
@@ -334,8 +300,29 @@ def _newton_candidates(sym: SymMatvec, X0: np.ndarray, tol: float, max_steps: in
         steps[diverged] = 0.0
         X[:, idx] = xa + steps[:, :n].T
         lam[idx] = la + steps[:, n]
-        alive[idx[diverged]] = False
-    return found
+        idx = idx[~diverged]
+    return X, lam, res, np.concatenate(done)
+
+
+def _polish(sym: SymMatvec, pool, tol: float) -> list[EigenPair]:
+    """Newton-polish the pooled ``(eigenvalue, vector)`` pairs in one batch,
+    to ``1e-13`` in at most 30 steps, and report each result normalized, with
+    its Rayleigh quotient and residual, in the sign convention of
+    :func:`_canonical` and flagged converged when the residual is at most
+    ``10 * tol``.  Results of zero or non-finite norm are dropped."""
+    lam0 = np.array([lam for lam, _ in pool])
+    X = _newton(sym, np.stack([x for _, x in pool], axis=1), lam0, 1e-13, 30)[0]
+    norms = np.linalg.norm(X, axis=0)
+    usable = (norms > 0) & np.isfinite(norms)
+    X = X[:, usable] / norms[usable]
+    C = sym(X)
+    lam = np.einsum("ij,ij->j", X, C)
+    residual = np.linalg.norm(C - lam * X, axis=0)
+    polished = []
+    for j in range(X.shape[1]):
+        lam_j, x_j = _canonical(float(lam[j]), X[:, j], sym.order)
+        polished.append(EigenPair(lam_j, x_j, float(residual[j]), bool(residual[j] <= 10 * tol)))
+    return polished
 
 
 def _canonical(lam: float, x: np.ndarray, order: int):
@@ -355,7 +342,11 @@ def _run_power_configs(sym, configs, starts, tol, max_iter, candidates, extras):
     len(configs)``, in blocks of at most ``POWER_BLOCK`` monomial values.
 
     Converged pairs go to ``candidates`` and the four largest unconverged
-    ones to ``extras``, config by config and in start order.
+    ones to ``extras``, config by config and in start order.  The extras of
+    the exploring phase all feed the magnitude estimate of the rescaled
+    phase, but only the first four extras reach the polish: those of the
+    first config with an unconverged start, usually the ``(+1, 0)``
+    exploring config.
     """
     r = starts.shape[1]
     sign, shift = np.asarray(configs, dtype=np.float64)[np.arange(r) % len(configs)].T
@@ -399,14 +390,22 @@ def dominant_eigen(
     monomial workspace serves every power step, the Newton sweep and the
     polish: a power block needs at most ``3 * POWER_BLOCK`` doubles (12 MiB)
     of it, and the Newton sweep, whose width is ``restarts // 4``, needs
-    ``3 * C(n+k-2, k-1) * (restarts // 4)``.  Pooled candidates are
-    deduplicated, polished by Newton correction, and the pair of largest
-    magnitude wins, with ties broken toward the larger eigenvalue and then
-    the lexicographically larger vector.  ``tensor`` is a dense symmetric
-    array.
+    ``3 * C(n+k-2, k-1) * (restarts // 4)``.  Each config of a power phase
+    keeps its four largest unconverged iterates as extras; the exploring
+    phase's extras all feed the magnitude estimate, but only the first four
+    extras, in config order, join the pool (usually all four from the
+    ``(+1, 0)`` exploring config).  The pool, the deduplicated converged
+    candidates (at most 24) and those four extras, is polished by the
+    Newton corrector in one batch, and the pair of largest magnitude wins,
+    with ties broken toward the larger eigenvalue and then the
+    lexicographically larger vector.  A pair is flagged converged when its
+    residual is at most ``10 * tol``; ``tol`` must be finite and positive.
+    ``tensor`` is a dense symmetric array.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     sym = SymMatvec(tensor)
     n, k = sym.dim, sym.order
     rng = np.random.default_rng(seed)
@@ -427,10 +426,10 @@ def dominant_eigen(
         sym, explore, starts[:, :n_explore], tol, POWER_MAX_ITER, candidates, extras
     )
     if n_newton:
-        for lam, x, _res in _newton_candidates(
-            sym, starts[:, n_explore:n_explore + n_newton], tol
-        ):
-            candidates.append((lam, x))
+        X0 = starts[:, n_explore:n_explore + n_newton]
+        lam0 = np.einsum("ij,ij->j", X0, sym(X0))
+        X, lam, _, conv = _newton(sym, X0, lam0, max(tol, 1e-12), 60)
+        candidates.extend((float(lam[j]), X[:, j]) for j in conv)
     rest = starts[:, n_explore + n_newton:]
     if rest.shape[1]:
         pool_so_far = candidates + extras
@@ -444,15 +443,7 @@ def dominant_eigen(
             sym, scaled, rest, tol, 2 * POWER_MAX_ITER, candidates, extras
         )
 
-    pool = _distinct_candidates(candidates, limit=24) + extras[:4]
-    polished = []
-    for lam0, x0 in pool:
-        result = _newton_refine(sym, x0, lam0)
-        if result is None:
-            continue
-        lam, x, residual = result
-        lam, x = _canonical(lam, x, k)
-        polished.append(EigenPair(lam, x, residual, residual <= 10 * tol))
+    polished = _polish(sym, _distinct_candidates(candidates, limit=24) + extras[:4], tol)
     if not polished:
         # nothing usable: report the first start as a non-converged pair
         x = starts[:, 0]
@@ -517,10 +508,9 @@ def spectrum_sample(tensor: np.ndarray, restarts: int = 2000, seed: int = 0) -> 
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((sym.dim, restarts))
     X /= np.linalg.norm(X, axis=0)
-    canonical = []
-    for lam_v, x, res in _newton_candidates(sym, X, SPECTRUM_TOL):
-        lam_c, x_c = _canonical(lam_v, x, k)
-        canonical.append((lam_c, x_c, res))
+    lam0 = np.einsum("ij,ij->j", X, sym(X))
+    X, lam, res, conv = _newton(sym, X, lam0, SPECTRUM_TOL, 60)
+    canonical = [(*_canonical(float(lam[j]), X[:, j], k), float(res[j])) for j in conv]
     reps: list[EigenPair] = []
     # smallest residual represents its eigenvalue cluster
     for lam_v, x, res in sorted(canonical, key=lambda p: p[2]):

@@ -11,6 +11,9 @@ from tenalign.eigen import (
     EigenPair,
     SymMatvec,
     _MonomialPlan,
+    _canonical,
+    _newton,
+    _polish,
     _power_batch,
     dominant_eigen,
     random_symmetric_tensor,
@@ -193,6 +196,91 @@ class TestSshopm:
                     assert abs(lam[j] - ref.eigenvalue) <= 1e-12
 
 
+def newton_refine(sym: SymMatvec, x, lam, tol=1e-13, max_iter=30):
+    """The former serial Newton polish of one pooled candidate, the oracle of
+    ``eigen._polish``."""
+    n = sym.dim
+    x = x.astype(np.float64).copy()
+    lam = float(lam)
+    for _ in range(max_iter):
+        c = sym.matvec(x)
+        f = np.concatenate([c - lam * x, [(np.dot(x, x) - 1.0) / 2.0]])
+        scale = max(1.0, abs(lam))
+        if np.linalg.norm(f) <= tol * scale:
+            break
+        jac = np.zeros((n + 1, n + 1))
+        jac[:n, :n] = sym.jacobian_blocks(x.reshape(-1, 1))[0]
+        jac[:n, :n] -= lam * np.eye(n)
+        jac[:n, n] = -x
+        jac[n, :n] = x
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        x = x + step[:n]
+        lam = lam + step[n]
+    norm = np.linalg.norm(x)
+    if norm == 0 or not np.isfinite(norm):
+        return None
+    x = x / norm
+    c = sym.matvec(x)
+    lam = float(np.dot(x, c))
+    residual = float(np.linalg.norm(c - lam * x))
+    return lam, x, residual
+
+
+def assert_polish_matches_serial(sym, pool, tol):
+    polished = _polish(sym, pool, tol)
+    assert len(polished) == len(pool)
+    for pair, (lam0, x0) in zip(polished, pool):
+        lam, x, residual = newton_refine(sym, x0, lam0)
+        lam, x = _canonical(lam, x, sym.order)
+        assert abs(pair.eigenvalue - lam) <= 1e-12 * max(1.0, abs(lam)), (pair.eigenvalue, lam)
+        assert min(np.abs(pair.vector - x).max(), np.abs(pair.vector + x).max()) <= 1e-12
+        assert pair.converged == (residual <= 10 * tol)
+
+
+class TestPolish:
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_batch_matches_serial_polish(self, rng, monkeypatch, order):
+        # the pools are the deduplicated power and Newton-sweep candidates of
+        # dominant_eigen.  The unconverged power iterates it adds to them are
+        # left out: from some of those Newton takes a step longer than 5,
+        # where the batch stops the column and the serial polish went on
+        distinct = eigen._distinct_candidates
+        pools = []
+
+        def spy(candidates, limit):
+            pools.append(distinct(candidates, limit))
+            return pools[-1]
+
+        monkeypatch.setattr(eigen, "_distinct_candidates", spy)
+        for dim in range(2, 10):
+            T = random_symmetric_tensor(dim, order, rng)
+            dominant_eigen(T, restarts=120, seed=int(rng.integers(1 << 30)))
+            assert_polish_matches_serial(SymMatvec(T), pools[-1], 1e-10)
+        assert len(pools) == 8
+
+    def test_start_that_does_not_converge(self):
+        # x1 x2^5 + |x|^6 has the degenerate eigenpair (e1, 1), to which Newton
+        # converges only linearly: from 0.3 radians away it is still short of
+        # 1e-13 after 30 steps.  The start near the regular pair at
+        # tan^2 t = 5 converges in the same batch.
+        def monomial(p):
+            T = np.zeros((2,) * 6)
+            T[(0,) * p + (1,) * (6 - p)] = 1.0
+            return symmetrize(T)
+
+        T = monomial(1) + sum(math.comb(3, j) * monomial(2 * j) for j in range(4))
+        sym = SymMatvec(T)
+        X0 = np.array([[math.cos(t), math.sin(t)] for t in (0.3, 1.2)]).T
+        lam0 = np.einsum("ij,ij->j", X0, sym(X0))
+        assert list(_newton(sym, X0, lam0, 1e-13, 30)[3]) == [1]
+        assert_polish_matches_serial(sym, list(zip(lam0, X0.T)), 1e-10)
+
+
 class TestDominant:
     def test_diagonal_dim2(self):
         pair = dominant_eigen(diagonal_tensor(2), restarts=300, seed=0)
@@ -233,6 +321,12 @@ class TestDominant:
         assert abs(many.eigenvalue - one.eigenvalue) <= 1e-12
         assert np.allclose(many.vector, one.vector, rtol=0, atol=1e-12)
         assert many.converged and one.converged
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_rejects_tol_that_cannot_stop_a_run(self, tol):
+        # at tol 0 no power run converges and every pair is reported unconverged
+        with pytest.raises(ValueError, match="tol"):
+            dominant_eigen(diagonal_tensor(2), restarts=10, tol=tol)
 
     def test_deterministic(self, rng):
         T = random_symmetric_tensor(3, 4, rng)

@@ -7,7 +7,9 @@ trial's shape, its convergence and the three dominant eigenvalues with the
 gaps between them.  Integers, flags and strings must be equal; the
 eigenvalues must agree to a relative ``1e-12`` and the gaps to an absolute
 ``1e-12``.  Batched BLAS products may round the last bits differently for a
-different number of columns, so exact float equality is not promised.
+different number of columns, so exact float equality is not promised.  The
+batched Newton polish that replaced the serial one moved such last bits
+(by at most 1.5e-15 relative on a lambda) and kept this reference as it was.
 
 A change that is meant to move results regenerates the reference with
 ``PYTHONPATH=src python tests/test_golden_eigcheck.py`` and says why.

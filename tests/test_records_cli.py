@@ -357,7 +357,7 @@ class TestEigcheckCommand:
         [
             ("--dims", "0"), ("--dims", "2,-1"), ("--orders", "1"), ("--orders", "3,0"),
             ("--dims", "2,x"), ("--orders", "3,y"), ("--trials", "-3"),
-            ("--tol", "nan"), ("--tol", "-1"), ("--restarts", "0"),
+            ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--restarts", "0"),
         ],
     )
     def test_rejects_out_of_range_entries(self, tmp_path, capsys, flag, value):

@@ -3,7 +3,9 @@
 Guards on results must raise errors, since ``python -O`` strips ``assert``
 statements, and the kernels have one numpy implementation, so no module may
 import numba.  Every public function and class must have a caller in the
-pipeline, so that code only tests call does not collect in the library.
+pipeline, so that code only tests call does not collect in the library, and
+every private one a reference in the package, so that a replaced path cannot
+linger beside its successor.
 """
 
 import ast
@@ -66,3 +68,16 @@ def test_public_names_have_a_pipeline_caller():
             if node.name not in used:
                 uncalled.append(f"{qualified} (line {node.lineno})")
     assert not uncalled, "public names without a pipeline caller: " + ", ".join(uncalled)
+
+
+def test_private_names_are_referenced_in_the_package():
+    used = _referenced_names(SOURCES)
+    unreferenced = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") and not name.endswith("__") and name not in used:
+                unreferenced.append(f"{path.stem}.{name} (line {node.lineno})")
+    assert not unreferenced, "private names never referenced: " + ", ".join(unreferenced)
