@@ -34,7 +34,6 @@ from .errors import (
     InputFormatError,
     NumericalFailureError,
     TenalignError,
-    UnsupportedContractionError,
 )
 from .graphs import Graph, clique_tensor, enumerate_cliques, load_edge_list, save_edge_list
 from .kron import (
@@ -42,7 +41,6 @@ from .kron import (
     explicit_kron,
     implicit_kron_ttv,
     lowrank_kron_ttv,
-    rank1_kron_ttv,
 )
 from .matching import (
     Matching,

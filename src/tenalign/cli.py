@@ -15,7 +15,7 @@ import numpy as np
 from . import kron
 from . import records as rec
 from .align import AlignOptions, FactorPair, lambda_tame, lowrank_tame, tame, truncated_svd
-from .eigen import random_symmetric_tensor, verify_decoupling
+from .eigen import TOL_FLOOR, random_symmetric_tensor, verify_decoupling
 from .errors import TenalignError
 from .graphs import MAX_MOTIF, MIN_MOTIF, Graph, clique_tensor, load_edge_list, save_edge_list
 from .matching import accuracy, edges_aligned, motifs_aligned
@@ -299,8 +299,8 @@ def cmd_eigcheck(args) -> int:
     orders = _int_list(args.orders, "--orders", 2)
     if args.restarts < 1:
         raise TenalignError(f"--restarts must be >= 1, got {args.restarts}")
-    if not 0.0 < args.tol < math.inf:
-        raise TenalignError(f"--tol must be finite and positive, got {args.tol}")
+    if not TOL_FLOOR <= args.tol < math.inf:
+        raise TenalignError(f"--tol must be finite and at least {TOL_FLOOR:g}, got {args.tol}")
     out_records = []
     root = np.random.SeedSequence(args.seed)
     for trial, child in enumerate(root.spawn(_trials(args))):
@@ -358,15 +358,30 @@ def _parse_run_combos(raw: str):
     return combos
 
 
+def _model_params(args) -> dict:
+    """The noise parameters of ``synth``'s model flags.
+
+    Called before any file is written; a bad value raises a
+    :class:`TenalignError` naming its flag.
+    """
+    if args.n < 1:
+        raise TenalignError(f"--n must be >= 1, got {args.n}")
+    for flag, value in (("--p", args.p), ("--pedge", args.pedge)):
+        if not 0.0 <= value <= 1.0:
+            raise TenalignError(f"{flag} must lie in [0, 1], got {value}")
+    if not 0.0 <= args.frac < math.inf:
+        raise TenalignError(f"--frac must be finite and >= 0, got {args.frac}")
+    if args.model == "er":
+        return {"p": args.p}
+    return {"frac": args.frac, "p_edge": args.pedge}
+
+
 def cmd_synth(args) -> int:
     trials = _trials(args)
+    params = _model_params(args)
     combos = _parse_run_combos(args.run) if args.run else []
     opts, ropts = _options(args, [method for method, _ in combos])
     os.makedirs(args.out, exist_ok=True)
-    params = (
-        {"p": args.p} if args.model == "er"
-        else {"frac": args.frac, "p_edge": args.pedge}
-    )
     problem_records = []
     run_records = []
     root = np.random.SeedSequence(args.seed)

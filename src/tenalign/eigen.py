@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .kron import KronPair, explicit_kron
+from .kron import explicit_kron
 
 __all__ = [
     "EigenPair",
@@ -43,6 +43,9 @@ BASE_SHIFT = 1.0  # exploring shifts of dominant_eigen are 0 and +-BASE_SHIFT
 POWER_BLOCK = 1 << 19  # monomial values per power-iteration block of dominant_eigen (4 MiB)
 SPECTRUM_TOL = 1e-10  # Newton acceptance tolerance of spectrum_sample
 DEDUP_TOL = 1e-6  # spectrum_sample merges eigenvalues closer than this
+# smallest tol of dominant_eigen: below it power runs stop on roundoff, far
+# from a fixed point, and wrong pairs are flagged converged
+TOL_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,8 @@ class SymMatvec:
     one monomial evaluation plus a small matrix product instead of a pass
     over all ``n^{k-1}`` entries; the Jacobian blocks use the same
     compression over ``k-2`` trailing modes.  Exact for arbitrary tensors
-    since entries are summed, not assumed equal.
+    since entries are summed, not assumed equal; a non-finite entry raises
+    :class:`ValueError`.
 
     The monomial values go into one workspace per monomial plan, kept for
     the operator's life and grown to its widest call: ``3 * C(n+k-2, k-1)
@@ -191,6 +195,8 @@ class SymMatvec:
 
     def __init__(self, dense: np.ndarray):
         dense = np.asarray(dense, dtype=np.float64)
+        if not np.isfinite(dense).all():
+            raise ValueError("tensor entries must be finite")
         self.order = dense.ndim
         self.dim = dense.shape[0]
         self._plan, self._mat = _compressed(dense, self.order - 1)
@@ -199,9 +205,6 @@ class SymMatvec:
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Batched ``T x^{k-1}``: ``X`` and the result are ``(dim, R)``."""
         return self._mat @ self._plan.eval(X)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self(x.reshape(-1, 1))[:, 0]
 
     def jacobian_blocks(self, X: np.ndarray) -> np.ndarray:
         """Batched ``(k-1) T x^{k-2}`` matrices, shape ``(R, dim, dim)``."""
@@ -399,13 +402,14 @@ def dominant_eigen(
     Newton corrector in one batch, and the pair of largest magnitude wins,
     with ties broken toward the larger eigenvalue and then the
     lexicographically larger vector.  A pair is flagged converged when its
-    residual is at most ``10 * tol``; ``tol`` must be finite and positive.
-    ``tensor`` is a dense symmetric array.
+    residual is at most ``10 * tol``; ``tol`` must be finite and at least
+    :data:`TOL_FLOOR`.  ``tensor`` is a dense symmetric array with finite
+    entries.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not TOL_FLOOR <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least {TOL_FLOOR:g}, got {tol}")
     sym = SymMatvec(tensor)
     n, k = sym.dim, sym.order
     rng = np.random.default_rng(seed)
@@ -444,12 +448,6 @@ def dominant_eigen(
         )
 
     polished = _polish(sym, _distinct_candidates(candidates, limit=24) + extras[:4], tol)
-    if not polished:
-        # nothing usable: report the first start as a non-converged pair
-        x = starts[:, 0]
-        c = sym.matvec(x)
-        lam = float(np.dot(x, c))
-        return EigenPair(lam, x, float(np.linalg.norm(c - lam * x)), False)
     return _select_best(polished)
 
 
@@ -536,7 +534,7 @@ def verify_decoupling(
     product is built first, so one above ``kron.EXPLICIT_BUDGET`` entries
     raises :class:`BudgetExceededError` before any eigenpair is computed.
     """
-    dense_kron = explicit_kron(KronPair(tensor_a, tensor_b))
+    dense_kron = explicit_kron(tensor_a, tensor_b)
     seeds = np.random.SeedSequence(seed).spawn(3)
     dom_a = dominant_eigen(tensor_a, restarts, seeds[0], tol)
     dom_b = dominant_eigen(tensor_b, restarts, seeds[1], tol)

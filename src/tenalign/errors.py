@@ -9,10 +9,6 @@ class DimensionMismatchError(TenalignError, ValueError):
     """Operands disagree on a dimension, shape, or tensor order."""
 
 
-class UnsupportedContractionError(TenalignError, ValueError):
-    """A contraction was requested for an unsupported number of modes."""
-
-
 class DegenerateIterateError(TenalignError, RuntimeError):
     """An iteration produced a zero (or otherwise unusable) iterate."""
 

@@ -3,9 +3,10 @@
 The product tensor of an order-``k`` pair ``(A, B)`` with dimensions ``m``
 and ``n`` is the order-``k`` tensor of dimension ``m * n`` whose entry at
 the interleaved index ``<i, i'>`` is ``A(i) * B(i')``.  It is never
-materialized except by :func:`explicit_kron`, a desk-scale oracle; the
-other routines contract against it implicitly, exploiting rank-1 and rank-r
-decoupling of the operands.
+materialized except by :func:`explicit_kron`, a desk-scale oracle on dense
+operands; the other routines contract against the product of the two
+:class:`MotifTensor` operands of a :class:`KronPair` implicitly, the
+low-rank one by decoupling the operands.
 
 Vectorization is column-major: ``vec`` stacks columns, fixing the
 interleaved index ``<i, i'> = i + m * i'`` in 0-based terms.
@@ -18,19 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import implicit_pair_contract, ttv_tuples
-from .errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    UnsupportedContractionError,
-)
-from .tensors import MotifTensor, ttv_same
+from .errors import BudgetExceededError, DimensionMismatchError
+from .tensors import MotifTensor
 
 __all__ = [
     "KronPair",
     "vec",
     "unvec",
     "implicit_kron_ttv",
-    "rank1_kron_ttv",
     "lowrank_kron_ttv",
     "explicit_kron",
 ]
@@ -41,46 +37,38 @@ EXPLICIT_BUDGET = 4_000_000  # max entries of an explicit product tensor, read a
 
 @dataclass(frozen=True)
 class KronPair:
-    """A pair of equal-order tensors viewed as their (implicit) product tensor.
+    """A pair of equal-order motif tensors viewed as their implicit product
+    tensor.
 
     ``a`` plays the row role (dimension ``m``) and ``b`` the column role
-    (dimension ``n``); either may be a :class:`MotifTensor` or, for
-    :func:`explicit_kron` only, a dense symmetric ``numpy`` array.
+    (dimension ``n``).
     """
 
-    a: object
-    b: object
+    a: MotifTensor
+    b: MotifTensor
 
     def __post_init__(self):
-        if _order(self.a) != _order(self.b):
+        if not isinstance(self.a, MotifTensor) or not isinstance(self.b, MotifTensor):
+            raise TypeError(
+                "KronPair operands must be MotifTensors, got "
+                f"{type(self.a).__name__} and {type(self.b).__name__}"
+            )
+        if self.a.order != self.b.order:
             raise DimensionMismatchError(
-                f"tensor orders differ: {_order(self.a)} vs {_order(self.b)}"
+                f"tensor orders differ: {self.a.order} vs {self.b.order}"
             )
 
     @property
     def order(self) -> int:
-        return _order(self.a)
+        return self.a.order
 
     @property
     def dim_a(self) -> int:
-        return _dim(self.a)
+        return self.a.dim
 
     @property
     def dim_b(self) -> int:
-        return _dim(self.b)
-
-
-def _order(t) -> int:
-    return t.order if isinstance(t, MotifTensor) else np.asarray(t).ndim
-
-
-def _dim(t) -> int:
-    return t.dim if isinstance(t, MotifTensor) else np.asarray(t).shape[0]
-
-
-def _require_sparse(pair: KronPair, what: str) -> None:
-    if not isinstance(pair.a, MotifTensor) or not isinstance(pair.b, MotifTensor):
-        raise UnsupportedContractionError(f"{what} requires sparse motif tensors")
+        return self.b.dim
 
 
 def vec(X: np.ndarray) -> np.ndarray:
@@ -100,7 +88,6 @@ def implicit_kron_ttv(pair: KronPair, X: np.ndarray) -> np.ndarray:
     correspondences; work is quadratic in the motif counts but independent
     of the rank of ``X``.
     """
-    _require_sparse(pair, "implicit contraction")
     X = np.asarray(X, dtype=np.float64)
     m, n = pair.dim_a, pair.dim_b
     if X.shape != (m, n):
@@ -114,17 +101,6 @@ def implicit_kron_ttv(pair: KronPair, X: np.ndarray) -> np.ndarray:
         m,
         n,
     )
-
-
-def rank1_kron_ttv(pair: KronPair, u: np.ndarray, v: np.ndarray):
-    """Decoupled contraction for a rank-1 matrix ``X = u v^T``.
-
-    Returns the pair ``(A . u^{k-1}, B . v^{k-1})``; their outer product
-    equals the product-tensor contraction of ``vec(u v^T)``, so the two
-    operands never interact.
-    """
-    _require_sparse(pair, "rank-1 contraction")
-    return ttv_same(pair.a, u), ttv_same(pair.b, v)
 
 
 def lowrank_kron_ttv(pair: KronPair, U: np.ndarray, V: np.ndarray):
@@ -141,7 +117,6 @@ def lowrank_kron_ttv(pair: KronPair, U: np.ndarray, V: np.ndarray):
     iteration checks the same bound and accumulates the contraction from
     column batches instead.
     """
-    _require_sparse(pair, "low-rank expansion")
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:
@@ -180,23 +155,28 @@ def _expand(tensor: MotifTensor, M: np.ndarray, digits, where) -> np.ndarray:
     return np.ascontiguousarray(cols[:, where])
 
 
-def explicit_kron(pair: KronPair) -> np.ndarray:
-    """Materialize the product tensor densely (small-scale oracle only).
+def explicit_kron(dense_a: np.ndarray, dense_b: np.ndarray) -> np.ndarray:
+    """Materialize the product tensor of two dense tensors (small-scale
+    oracle only).
 
-    Entry at the interleaved joint index equals the product of the operand
-    entries; output is a dense order-``k`` array of dimension ``m * n``.
-    More than :data:`EXPLICIT_BUDGET` entries raise
-    :class:`BudgetExceededError`.
+    ``dense_a`` plays the row role (dimension ``m``) and ``dense_b`` the
+    column role (dimension ``n``).  Entry at the interleaved joint index
+    equals the product of the operand entries; output is a dense order-``k``
+    array of dimension ``m * n``.  Unequal orders raise
+    :class:`DimensionMismatchError`, and more than :data:`EXPLICIT_BUDGET`
+    entries :class:`BudgetExceededError`.
     """
-    k = pair.order
-    m, n = pair.dim_a, pair.dim_b
+    dense_a = np.asarray(dense_a, dtype=np.float64)
+    dense_b = np.asarray(dense_b, dtype=np.float64)
+    k = dense_a.ndim
+    if dense_b.ndim != k:
+        raise DimensionMismatchError(f"tensor orders differ: {k} vs {dense_b.ndim}")
+    m, n = dense_a.shape[0], dense_b.shape[0]
     size = (m * n) ** k
     if size > EXPLICIT_BUDGET:
         raise BudgetExceededError(
             f"explicit product tensor would have {size} entries (budget {EXPLICIT_BUDGET})"
         )
-    dense_a = pair.a.to_dense() if isinstance(pair.a, MotifTensor) else np.asarray(pair.a, dtype=np.float64)
-    dense_b = pair.b.to_dense() if isinstance(pair.b, MotifTensor) else np.asarray(pair.b, dtype=np.float64)
     # outer(B, A)[i', i] then pair up the axes as (i'_t, i_t) -> joint index
     out = np.multiply.outer(dense_b, dense_a)
     axes = []

@@ -29,7 +29,9 @@ class MotifTensor:
     """Sparse symmetric tensor over hyperedges with positive weights.
 
     ``hyperedges`` has shape ``(nnz, order)`` with strictly increasing rows,
-    stored in lexicographic row order; ``weights`` has shape ``(nnz,)``.
+    stored in lexicographic row order; ``weights`` has shape ``(nnz,)``.  The
+    constructor takes any array-likes for both, such as a list of index
+    tuples and one weight each, or two empty lists for the zero tensor.
     Instances are immutable after construction (arrays are marked read-only),
     so they can be shared freely between concurrent computations.
     """
@@ -67,18 +69,6 @@ class MotifTensor:
         weights.setflags(write=False)
         object.__setattr__(self, "hyperedges", edges)
         object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def from_hyperedges(cls, order, dim, edges, weights=None):
-        """Build a tensor from an iterable of index tuples (unit weights by default)."""
-        edges = np.asarray(list(edges), dtype=np.int64).reshape(-1, order)
-        if weights is None:
-            weights = np.ones(edges.shape[0])
-        return cls(order, dim, edges, weights)
-
-    @classmethod
-    def empty(cls, order, dim):
-        return cls(order, dim, np.empty((0, order), dtype=np.int64), np.empty(0))
 
     @property
     def nnz(self) -> int:

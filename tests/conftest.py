@@ -25,7 +25,7 @@ def rng():
 @pytest.fixture
 def triangle():
     """Single-triangle motif tensor on three vertices."""
-    return MotifTensor.from_hyperedges(3, 3, [(0, 1, 2)])
+    return MotifTensor(3, 3, [(0, 1, 2)], [1.0])
 
 
 def random_motif(order, dim, rng, density=0.6, weighted=True):
@@ -36,8 +36,8 @@ def random_motif(order, dim, rng, density=0.6, weighted=True):
     pick = [t for t in tuples if rng.random() < density]
     if not pick:
         pick = [tuples[int(rng.integers(len(tuples)))]]
-    weights = rng.random(len(pick)) + 0.5 if weighted else None
-    return MotifTensor.from_hyperedges(order, dim, pick, weights)
+    weights = rng.random(len(pick)) + 0.5 if weighted else np.ones(len(pick))
+    return MotifTensor(order, dim, pick, weights)
 
 
 def random_graph(n, p, rng):

@@ -54,7 +54,7 @@ class TestTame:
 
     def test_empty_tensor_rejected(self, triangle):
         with pytest.raises(DegenerateProblemError):
-            tame(MotifTensor.empty(3, 3), triangle)
+            tame(MotifTensor(3, 3, [], []), triangle)
 
     def test_best_iterate_earliest_on_ties(self, triangle):
         out = tame(triangle, triangle, opts=AlignOptions(alpha=1.0, beta=0.0, max_iter=15))
@@ -213,10 +213,10 @@ class TestLambdaTame:
 
     def test_empty_tensor_rejected(self, triangle):
         with pytest.raises(DegenerateProblemError):
-            lambda_tame(triangle, MotifTensor.empty(3, 4))
+            lambda_tame(triangle, MotifTensor(3, 4, [], []))
 
     def test_isolated_vertices_tolerated(self):
-        t = MotifTensor.from_hyperedges(3, 4, [(0, 1, 2)])  # vertex 3 isolated
+        t = MotifTensor(3, 4, [(0, 1, 2)], [1.0])  # vertex 3 isolated
         out = lambda_tame(t, t, AlignOptions(alpha=0.5, beta=0.0, max_iter=3))
         assert out.best_factors.u.shape == (4, 4)
         assert np.allclose(np.linalg.norm(out.best_factors.u, axis=0), 1.0)
@@ -224,7 +224,7 @@ class TestLambdaTame:
     def test_zero_contraction_column_degenerates(self, monkeypatch):
         import tenalign.align as align_mod
 
-        t = MotifTensor.from_hyperedges(3, 3, [(0, 1, 2)])
+        t = MotifTensor(3, 3, [(0, 1, 2)], [1.0])
         monkeypatch.setattr(
             align_mod, "ttv_same", lambda *a, **kw: np.zeros(3)
         )

@@ -23,6 +23,11 @@ from tenalign.eigen import (
 )
 
 
+def matvec(sym, x):
+    """One contraction ``T x^{k-1}`` through the batched operator."""
+    return sym(x.reshape(-1, 1))[:, 0]
+
+
 def diagonal_tensor(dim, order=3):
     out = np.zeros((dim,) * order)
     for i in range(dim):
@@ -38,7 +43,7 @@ class TestSymMatvec:
             for _ in range(3):
                 x = rng.standard_normal(dim)
                 assert np.allclose(
-                    sym.matvec(x), dense_contract(T, x, order - 1),
+                    matvec(sym, x), dense_contract(T, x, order - 1),
                     rtol=1e-12, atol=1e-12,
                 )
 
@@ -47,7 +52,7 @@ class TestSymMatvec:
         T = rng.standard_normal((3, 3, 3))
         x = rng.standard_normal(3)
         ref = np.einsum("ijk,j,k->i", T, x, x)
-        assert np.allclose(SymMatvec(T).matvec(x), ref)
+        assert np.allclose(matvec(SymMatvec(T), x), ref)
 
     def test_jacobian_blocks(self, rng):
         T = random_symmetric_tensor(4, 4, rng)
@@ -61,7 +66,25 @@ class TestSymMatvec:
         X = rng.standard_normal((3, 5))
         batched = sym(X)
         for j in range(5):
-            assert np.allclose(batched[:, j], sym.matvec(X[:, j]))
+            assert np.allclose(batched[:, j], matvec(sym, X[:, j]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tensor_rejected(self, bad):
+        # a non-finite entry would poison every start; the operator and every
+        # solver built on it refuse the tensor instead of reporting a pair
+        T = diagonal_tensor(2)
+        T[0, 1, 1] = bad
+        solvers = (
+            SymMatvec,
+            lambda t: dominant_eigen(t, restarts=10),
+            lambda t: spectrum_sample(t, restarts=10),
+            lambda t: verify_decoupling(t, diagonal_tensor(2), restarts=10),
+            lambda t: verify_decoupling(diagonal_tensor(2), t, restarts=10),
+        )
+        for solve in solvers:
+            # the product of an infinite entry and a zero is NaN
+            with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+                solve(T)
 
 
 def former_monomials(plan, X):
@@ -117,14 +140,14 @@ def sshopm(tensor, shift, x0, tol=1e-10, max_iter=500):
     x = np.asarray(x0, dtype=np.float64) / np.linalg.norm(x0)
     lam_prev = np.inf
     for _ in range(max_iter):
-        c = sym.matvec(x)
+        c = matvec(sym, x)
         lam = float(np.dot(x, c))
         if abs(lam - lam_prev) < tol:
             return EigenPair(lam, x, float(np.linalg.norm(c - lam * x)), True)
         lam_prev = lam
         y = c + shift * x
         x = y / np.linalg.norm(y)
-    c = sym.matvec(x)
+    c = matvec(sym, x)
     lam = float(np.dot(x, c))
     return EigenPair(lam, x, float(np.linalg.norm(c - lam * x)), False)
 
@@ -203,7 +226,7 @@ def newton_refine(sym: SymMatvec, x, lam, tol=1e-13, max_iter=30):
     x = x.astype(np.float64).copy()
     lam = float(lam)
     for _ in range(max_iter):
-        c = sym.matvec(x)
+        c = matvec(sym, x)
         f = np.concatenate([c - lam * x, [(np.dot(x, x) - 1.0) / 2.0]])
         scale = max(1.0, abs(lam))
         if np.linalg.norm(f) <= tol * scale:
@@ -225,7 +248,7 @@ def newton_refine(sym: SymMatvec, x, lam, tol=1e-13, max_iter=30):
     if norm == 0 or not np.isfinite(norm):
         return None
     x = x / norm
-    c = sym.matvec(x)
+    c = matvec(sym, x)
     lam = float(np.dot(x, c))
     residual = float(np.linalg.norm(c - lam * x))
     return lam, x, residual
@@ -322,11 +345,18 @@ class TestDominant:
         assert np.allclose(many.vector, one.vector, rtol=0, atol=1e-12)
         assert many.converged and one.converged
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, 1e-20, 0.99 * eigen.TOL_FLOOR])
     def test_rejects_tol_that_cannot_stop_a_run(self, tol):
-        # at tol 0 no power run converges and every pair is reported unconverged
+        # at tol 0 no power run converges and every pair is reported
+        # unconverged; below TOL_FLOOR the power runs stop on roundoff and
+        # wrong pairs are flagged converged
         with pytest.raises(ValueError, match="tol"):
             dominant_eigen(diagonal_tensor(2), restarts=10, tol=tol)
+
+    def test_accepts_tol_floor(self):
+        pair = dominant_eigen(diagonal_tensor(2), restarts=30, tol=eigen.TOL_FLOOR)
+        assert pair.eigenvalue == pytest.approx(1.0)
+        assert pair.converged
 
     def test_deterministic(self, rng):
         T = random_symmetric_tensor(3, 4, rng)

@@ -5,21 +5,16 @@ import pytest
 
 from conftest import dense_contract, random_motif
 from tenalign import _kernels, kron
-from tenalign.errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    UnsupportedContractionError,
-)
+from tenalign.errors import BudgetExceededError, DimensionMismatchError
 from tenalign.kron import (
     KronPair,
     explicit_kron,
     implicit_kron_ttv,
     lowrank_kron_ttv,
-    rank1_kron_ttv,
     unvec,
     vec,
 )
-from tenalign.tensors import MotifTensor
+from tenalign.tensors import MotifTensor, ttv_same
 
 
 def implicit_oracle(EA, wA, EB, wB, X, m, n, chunk_entries=4_000_000):
@@ -122,18 +117,39 @@ class TestIndexing:
         assert vec(X).tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
+def explicit_oracle(pair):
+    """The dense product tensor of a pair's motif tensors."""
+    return explicit_kron(pair.a.to_dense(), pair.b.to_dense())
+
+
+class TestKronPair:
+    def test_order_mismatch(self, triangle):
+        with pytest.raises(DimensionMismatchError):
+            KronPair(triangle, MotifTensor(4, 3, [], []))
+
+    def test_dense_operands_rejected(self, triangle):
+        dense = triangle.to_dense()
+        for a, b in ((dense, dense), (triangle, dense), (dense, triangle)):
+            with pytest.raises(TypeError, match="MotifTensor"):
+                KronPair(a, b)
+
+    def test_reads_order_and_dims_from_the_tensors(self, triangle):
+        pair = KronPair(triangle, MotifTensor(3, 5, [(1, 2, 4)], [2.0]))
+        assert (pair.order, pair.dim_a, pair.dim_b) == (3, 3, 5)
+
+
 class TestExplicit:
     def test_diagonal_product_is_bigger_diagonal(self):
         d2 = diagonal_tensor(2, 3)
-        assert np.array_equal(explicit_kron(KronPair(d2, d2)), diagonal_tensor(4, 3))
+        assert np.array_equal(explicit_kron(d2, d2), diagonal_tensor(4, 3))
 
     def test_zero_operand(self, triangle):
-        zero = MotifTensor.empty(3, 2)
-        dense = explicit_kron(KronPair(triangle, zero))
+        dense = explicit_kron(triangle.to_dense(), np.zeros((2, 2, 2)))
+        assert dense.shape == (6, 6, 6)
         assert not dense.any()
 
     def test_triangle_pair_entry_count(self, triangle):
-        dense = explicit_kron(KronPair(triangle, triangle))
+        dense = explicit_kron(triangle.to_dense(), triangle.to_dense())
         # 6 orientations on each side -> 36 unit entries
         assert int((dense != 0).sum()) == 36
         assert set(np.unique(dense)) == {0.0, 1.0}
@@ -141,28 +157,22 @@ class TestExplicit:
     def test_budget(self, triangle, monkeypatch):
         monkeypatch.setattr(kron, "EXPLICIT_BUDGET", 10)
         with pytest.raises(BudgetExceededError):
-            explicit_kron(KronPair(triangle, triangle))
+            explicit_kron(triangle.to_dense(), triangle.to_dense())
 
-    def test_order_mismatch(self, triangle):
-        with pytest.raises(DimensionMismatchError):
-            KronPair(triangle, MotifTensor.empty(4, 3))
+    def test_order_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="orders differ"):
+            explicit_kron(np.ones((2, 2, 2)), np.ones((2, 2, 2, 2)))
 
 
 class TestRank1:
+    # the product-tensor contraction of vec(u v^T) is the outer product of
+    # the per-operand contractions A u^{k-1} and B v^{k-1}
     def test_uniform_triangle_pair(self, triangle):
         u = np.ones(3) / np.sqrt(3)
-        a_side, b_side = rank1_kron_ttv(KronPair(triangle, triangle), u, u)
-        assert np.allclose(a_side, 2.0 / 3.0)
-        assert np.allclose(b_side, 2.0 / 3.0)
+        assert np.allclose(ttv_same(triangle, u), 2.0 / 3.0)
 
     def test_zero_vector(self, triangle):
-        a_side, _ = rank1_kron_ttv(KronPair(triangle, triangle), np.zeros(3), np.ones(3))
-        assert not a_side.any()
-
-    def test_dense_operands_rejected(self, rng):
-        dense = random_motif(3, 3, rng).to_dense()
-        with pytest.raises(UnsupportedContractionError):
-            rank1_kron_ttv(KronPair(dense, dense), np.ones(3), np.ones(3))
+        assert not ttv_same(triangle, np.zeros(3)).any()
 
     def test_decoupling_identity(self, rng):
         # outer product of the per-operand contractions equals the joint one
@@ -173,7 +183,7 @@ class TestRank1:
             pair = KronPair(random_motif(k, m, rng), random_motif(k, n, rng))
             u = rng.standard_normal(m)
             v = rng.standard_normal(n)
-            a_side, b_side = rank1_kron_ttv(pair, u, v)
+            a_side, b_side = ttv_same(pair.a, u), ttv_same(pair.b, v)
             joint = implicit_kron_ttv(pair, np.outer(u, v))
             scale = max(np.linalg.norm(joint), 1e-30)
             assert np.linalg.norm(np.outer(a_side, b_side) - joint) / scale <= 1e-12
@@ -184,8 +194,8 @@ class TestRank1:
         u = rng.standard_normal(m)
         v = rng.standard_normal(n)
         # the full contraction is the product of the operands' inner products
-        a_side, b_side = rank1_kron_ttv(pair, u, v)
-        dense = explicit_kron(pair)
+        a_side, b_side = ttv_same(pair.a, u), ttv_same(pair.b, v)
+        dense = explicit_oracle(pair)
         ref = dense_contract(dense, vec(np.outer(u, v)), k)
         got = np.dot(u, a_side) * np.dot(v, b_side)
         assert got == pytest.approx(float(ref), rel=1e-12, abs=1e-12)
@@ -212,7 +222,7 @@ class TestImplicit:
             pair = KronPair(random_motif(k, m, rng), random_motif(k, n, rng))
             X = rng.standard_normal((m, n))
             got = implicit_kron_ttv(pair, X)
-            ref = unvec(dense_contract(explicit_kron(pair), vec(X), k - 1), m, n)
+            ref = unvec(dense_contract(explicit_oracle(pair), vec(X), k - 1), m, n)
             scale = max(np.linalg.norm(ref), 1e-30)
             assert np.linalg.norm(got - ref) / scale <= 1e-12
 
@@ -253,7 +263,7 @@ class TestTtvTuples:
 
     def test_empty_tensor_and_no_digits(self, rng):
         for k in (2, 3, 4):
-            t = MotifTensor.empty(k, 5)
+            t = MotifTensor(k, 5, [], [])
             M = rng.standard_normal((5, 2))
             out = _kernels.ttv_tuples(t.hyperedges, t.weights, M, 5, np.zeros((3, k - 1)))
             assert out.shape == (5, 3) and not out.any()
@@ -327,7 +337,7 @@ class TestLowRank:
         u = rng.standard_normal((3, 1))
         v = rng.standard_normal((3, 1))
         ue, ve = lowrank_kron_ttv(pair, u, v)
-        a_side, b_side = rank1_kron_ttv(pair, u[:, 0], v[:, 0])
+        a_side, b_side = ttv_same(pair.a, u[:, 0]), ttv_same(pair.b, v[:, 0])
         assert np.allclose(ue[:, 0], a_side)
         assert np.allclose(ve[:, 0], b_side)
 

@@ -244,7 +244,7 @@ class TestAgainstOracle:
 
     def test_empty_b_tensor(self):
         mt, ga, gb, ta, _, factors = lambda_tame_problem(30, 5, "er", {"p": 0.2})
-        tb = MotifTensor.empty(3, gb.n)
+        tb = MotifTensor(3, gb.n, [], [])
         got, _ = assert_same_as_oracle(mt, ga, gb, ta, tb, factors, RefineOptions())
         assert len(got) == len(mt)
 
@@ -281,7 +281,7 @@ def small_problems(draw):
 
     def tensor(size):
         if size < order:
-            return MotifTensor.empty(order, size)
+            return MotifTensor(order, size, [], [])
         rows = draw(
             st.lists(
                 st.lists(st.integers(0, size - 1), min_size=order, max_size=order, unique=True),
@@ -289,7 +289,7 @@ def small_problems(draw):
             )
         )
         rows = sorted({tuple(sorted(r)) for r in rows})
-        return MotifTensor.from_hyperedges(order, size, rows)
+        return MotifTensor(order, size, rows, np.ones(len(rows)))
 
     graph_a, graph_b = graph(m), graph(n)
     tensor_a, tensor_b = tensor(m), tensor(n)

@@ -218,8 +218,8 @@ class TestSortedCodeCounts:
         high = [35, 42, 43, 93, 128, 129, 137, 138, 139]
         fold = lambda row: sum(v * dim ** (8 - c) for c, v in enumerate(row))  # noqa: E731
         assert fold(high) - fold(low) == 2**64
-        ta = MotifTensor.from_hyperedges(9, dim, [low, high])
-        tb = MotifTensor.from_hyperedges(9, dim, [high])
+        ta = MotifTensor(9, dim, [low, high], [1.0, 1.0])
+        tb = MotifTensor(9, dim, [high], [1.0])
         identity = Matching(dim, dim, [(i, i) for i in range(dim)])
         assert motifs_aligned(identity, ta, tb) == 1
         assert motifs_aligned(identity, tb, ta) == 1

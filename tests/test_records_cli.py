@@ -357,7 +357,8 @@ class TestEigcheckCommand:
         [
             ("--dims", "0"), ("--dims", "2,-1"), ("--orders", "1"), ("--orders", "3,0"),
             ("--dims", "2,x"), ("--orders", "3,y"), ("--trials", "-3"),
-            ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--restarts", "0"),
+            ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "1e-15"),
+            ("--tol", "1e-20"), ("--restarts", "0"),
         ],
     )
     def test_rejects_out_of_range_entries(self, tmp_path, capsys, flag, value):
@@ -437,6 +438,25 @@ class TestSynthCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"tenalign: {flag} ")
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "model, flag, value",
+        [
+            ("er", "--n", "0"),
+            ("er", "--p", "2"),
+            ("er", "--p", "nan"),
+            ("duplication", "--frac", "-1"),
+            ("duplication", "--frac", "nan"),
+            ("duplication", "--frac", "inf"),
+            ("duplication", "--pedge", "1.5"),
+        ],
+    )
+    def test_bad_model_flag_rejected_before_the_directory(self, tmp_path, capsys, model, flag, value):
+        out = tmp_path / "sweep"
+        argv = ["synth", "--n", "12", "--model", model, flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"tenalign: {flag} ")
+        assert not out.exists()
 
     def test_zero_iters_allowed_for_lambda_tame(self, tmp_path):
         out = tmp_path / "sweep"

@@ -5,7 +5,8 @@ statements, and the kernels have one numpy implementation, so no module may
 import numba.  Every public function and class must have a caller in the
 pipeline, so that code only tests call does not collect in the library, and
 every private one a reference in the package, so that a replaced path cannot
-linger beside its successor.
+linger beside its successor.  The same holds for the public methods and
+properties of public classes.
 """
 
 import ast
@@ -41,24 +42,31 @@ def test_no_assert_and_no_numba(path):
     assert not problems, "\n".join(problems)
 
 
-def _referenced_names(paths):
-    """Every name loaded or attribute read in the given files."""
+def _referenced_names(paths, qualified=False):
+    """Every name loaded or attribute read in the given files; with
+    ``qualified``, the ``Name.attribute`` reads instead."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.Name):
+            if qualified:
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    names.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
 
 
-def test_public_names_have_a_pipeline_caller():
-    # callers: the package outside its re-exports, the benchmark, and the
-    # acceptance criteria; a mention in a docstring or in __all__ is no call
+def _pipeline_callers():
+    # the package outside its re-exports, the benchmark, and the acceptance
+    # criteria; a mention in a docstring or in __all__ is no call
     callers = [p for p in SOURCES if p.name != "__init__.py"]
-    callers += sorted((REPO / "bench").glob("*.py")) + [REPO / "tests" / "test_acceptance.py"]
-    used = _referenced_names(callers)
+    return callers + sorted((REPO / "bench").glob("*.py")) + [REPO / "tests" / "test_acceptance.py"]
+
+
+def test_public_names_have_a_pipeline_caller():
+    used = _referenced_names(_pipeline_callers())
     uncalled = []
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -68,6 +76,31 @@ def test_public_names_have_a_pipeline_caller():
             if node.name not in used:
                 uncalled.append(f"{qualified} (line {node.lineno})")
     assert not uncalled, "public names without a pipeline caller: " + ", ".join(uncalled)
+
+
+def test_public_methods_have_a_pipeline_caller():
+    # a classmethod or staticmethod is called through its class, so it needs
+    # a ``Class.method`` read; other methods and properties are reached
+    # through instances, so their attribute name is enough
+    callers = _pipeline_callers()
+    used = _referenced_names(callers)
+    used_on_class = _referenced_names(callers, qualified=True)
+    uncalled = []
+    for path in SOURCES:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                decorators = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+                if decorators & {"classmethod", "staticmethod"}:
+                    called = f"{cls.name}.{node.name}" in used_on_class
+                else:
+                    called = node.name in used
+                if not called:
+                    uncalled.append(f"{path.stem}.{cls.name}.{node.name} (line {node.lineno})")
+    assert not uncalled, "public methods without a pipeline caller: " + ", ".join(uncalled)
 
 
 def test_private_names_are_referenced_in_the_package():

@@ -84,7 +84,7 @@ class TestTtvSame:
             ttv_same(triangle, np.ones(4))
 
     def test_empty_tensor(self):
-        t = MotifTensor.empty(3, 5)
+        t = MotifTensor(3, 5, [], [])
         assert ttv_same(t, np.ones(5)).tolist() == [0.0] * 5
 
     def test_matches_dense_oracle(self, rng):
@@ -200,7 +200,7 @@ class TestDense:
 
     def test_to_dense_budget(self, monkeypatch):
         monkeypatch.setattr(tensors, "DENSE_BUDGET", 10)
-        t = MotifTensor.empty(9, 10)
+        t = MotifTensor(9, 10, [], [])
         with pytest.raises(BudgetExceededError):
             t.to_dense()
 
