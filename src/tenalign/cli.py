@@ -301,6 +301,13 @@ def cmd_eigcheck(args) -> int:
         raise TenalignError(f"--restarts must be >= 1, got {args.restarts}")
     if not TOL_FLOOR <= args.tol < math.inf:
         raise TenalignError(f"--tol must be finite and at least {TOL_FLOOR:g}, got {args.tol}")
+    # the largest dimension and order may be drawn together in any trial
+    size = (max(dims) ** 2) ** max(orders)
+    if size > kron.EXPLICIT_BUDGET:
+        raise TenalignError(
+            f"--dims and --orders allow a product tensor of {size} entries (dimension "
+            f"{max(dims)}, order {max(orders)}), over kron.EXPLICIT_BUDGET ({kron.EXPLICIT_BUDGET})"
+        )
     out_records = []
     root = np.random.SeedSequence(args.seed)
     for trial, child in enumerate(root.spawn(_trials(args))):

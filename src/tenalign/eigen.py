@@ -3,13 +3,13 @@
 A Z-eigenpair of a symmetric order-``k`` tensor is a unit vector ``x`` and
 scalar ``lam`` with ``T x^{k-1} = lam * x``; the dominant pair globally
 maximizes ``|T x^k|`` over the unit sphere.  :func:`dominant_eigen` locates
-dominant pairs by multi-restart shifted power iteration (small exploratory
-shifts on both tensor signs for even order, then shifts rescaled to the
-magnitude found, since too small a shift leaves maxima unstable) combined
-with a Newton-corrector sweep, polishing pooled candidates to machine
-precision; :func:`spectrum_sample` samples the full small-tensor spectrum
-with the Newton corrector alone, which also reaches saddle-type pairs that
-no shifted power iteration attracts to.  One batched Newton corrector serves
+dominant pairs in two phases, polishing the pooled candidates to machine
+precision: a Newton-corrector sweep estimates the dominant magnitude, then
+multi-restart power iteration runs with shifts scaled to it (on both tensor
+signs for even order), since too small a shift leaves maxima unstable.
+:func:`spectrum_sample` samples the full small-tensor spectrum with the
+Newton corrector alone, which also reaches saddle-type pairs that no
+shifted power iteration attracts to.  One batched Newton corrector serves
 the sweep, the polish and the spectrum sample.
 
 :func:`verify_decoupling` computes the dominant pairs of two tensors and of
@@ -38,8 +38,10 @@ __all__ = [
     "verify_decoupling",
 ]
 
-POWER_MAX_ITER = 300  # power steps per start in dominant_eigen; twice that after rescaling
-BASE_SHIFT = 1.0  # exploring shifts of dominant_eigen are 0 and +-BASE_SHIFT
+POWER_MAX_ITER = 600  # power steps per start in dominant_eigen
+# shifts of dominant_eigen's power runs: BASE_SHIFT plus 1.2 and 3.0 times
+# the largest |lambda| of its Newton sweep
+BASE_SHIFT = 1.0
 POWER_BLOCK = 1 << 19  # monomial values per power-iteration block of dominant_eigen (4 MiB)
 SPECTRUM_TOL = 1e-10  # Newton acceptance tolerance of spectrum_sample
 DEDUP_TOL = 1e-6  # spectrum_sample merges eigenvalues closer than this
@@ -174,6 +176,14 @@ def _compressed(dense: np.ndarray, degree: int):
     return plan, np.add.reduceat(flat[:, order], starts, axis=1)
 
 
+def _finite(dense) -> np.ndarray:
+    """``dense`` as a float64 array; a non-finite entry raises :class:`ValueError`."""
+    dense = np.asarray(dense, dtype=np.float64)
+    if not np.isfinite(dense).all():
+        raise ValueError("tensor entries must be finite")
+    return dense
+
+
 class SymMatvec:
     """Compressed contraction operator for a dense symmetric tensor.
 
@@ -194,9 +204,7 @@ class SymMatvec:
     """
 
     def __init__(self, dense: np.ndarray):
-        dense = np.asarray(dense, dtype=np.float64)
-        if not np.isfinite(dense).all():
-            raise ValueError("tensor entries must be finite")
+        dense = _finite(dense)
         self.order = dense.ndim
         self.dim = dense.shape[0]
         self._plan, self._mat = _compressed(dense, self.order - 1)
@@ -340,16 +348,12 @@ def _canonical(lam: float, x: np.ndarray, order: int):
     return lam, x
 
 
-def _run_power_configs(sym, configs, starts, tol, max_iter, candidates, extras):
-    """Power iteration on one phase's starts, start ``i`` on config ``i %
+def _run_power_configs(sym, configs, starts, tol):
+    """Power iteration from ``starts``, start ``i`` on config ``i %
     len(configs)``, in blocks of at most ``POWER_BLOCK`` monomial values.
 
-    Converged pairs go to ``candidates`` and the four largest unconverged
-    ones to ``extras``, config by config and in start order.  The extras of
-    the exploring phase all feed the magnitude estimate of the rescaled
-    phase, but only the first four extras reach the polish: those of the
-    first config with an unconverged start, usually the ``(+1, 0)``
-    exploring config.
+    Returns the converged pairs and, per config, its four largest
+    unconverged ones (the extras), config by config and in start order.
     """
     r = starts.shape[1]
     sign, shift = np.asarray(configs, dtype=np.float64)[np.arange(r) % len(configs)].T
@@ -360,9 +364,11 @@ def _run_power_configs(sym, configs, starts, tol, max_iter, candidates, extras):
     for lo in range(0, r, width):
         block = slice(lo, lo + width)
         lam[block], xs[:, block], conv[block] = _power_batch(
-            sym, starts[:, block], sign[block], shift[block], tol, max_iter
+            sym, starts[:, block], sign[block], shift[block], tol, POWER_MAX_ITER
         )
     lam *= sign  # map eigenvalues of -T back to T
+    candidates = []
+    extras = []
     step = len(configs)
     for ci in range(step):
         c_lam, c_xs, c_conv = lam[ci::step], xs[:, ci::step], conv[ci::step]
@@ -371,6 +377,7 @@ def _run_power_configs(sym, configs, starts, tol, max_iter, candidates, extras):
         order = np.argsort(-np.abs(c_lam[~c_conv]))[:4]
         unconv = np.nonzero(~c_conv)[0][order]
         extras.extend((float(c_lam[j]), c_xs[:, j]) for j in unconv)
+    return candidates, extras
 
 
 def dominant_eigen(
@@ -379,32 +386,31 @@ def dominant_eigen(
     seed: int = 0,
     tol: float = 1e-10,
 ) -> EigenPair:
-    """Dominant Z-eigenpair by multi-restart shifted power iteration.
+    """Dominant Z-eigenpair by a Newton sweep and shifted power iteration.
 
-    The ``restarts`` random unit starts are split across three phases:
-    power iteration with shifts ``{0, +-BASE_SHIFT}`` applied to ``T`` and,
-    for even order, to ``-T`` (odd-order spectra are symmetric under
-    negation, so the extra sign adds nothing there); a Newton-corrector
-    sweep; and power iteration again with shifts rescaled to the largest
-    magnitude found so far, which stabilizes maxima that a small fixed shift
-    leaves repelling.  The configs of a power phase share one batch, split
-    into column blocks of at most ``POWER_BLOCK`` monomial values (one block
-    for small tensors).  The solver builds one :class:`SymMatvec`, so one
-    monomial workspace serves every power step, the Newton sweep and the
-    polish: a power block needs at most ``3 * POWER_BLOCK`` doubles (12 MiB)
-    of it, and the Newton sweep, whose width is ``restarts // 4``, needs
-    ``3 * C(n+k-2, k-1) * (restarts // 4)``.  Each config of a power phase
-    keeps its four largest unconverged iterates as extras; the exploring
-    phase's extras all feed the magnitude estimate, but only the first four
-    extras, in config order, join the pool (usually all four from the
-    ``(+1, 0)`` exploring config).  The pool, the deduplicated converged
-    candidates (at most 24) and those four extras, is polished by the
-    Newton corrector in one batch, and the pair of largest magnitude wins,
-    with ties broken toward the larger eigenvalue and then the
-    lexicographically larger vector.  A pair is flagged converged when its
-    residual is at most ``10 * tol``; ``tol`` must be finite and at least
-    :data:`TOL_FLOOR`.  ``tensor`` is a dense symmetric array with finite
-    entries.
+    Of the ``restarts`` random unit starts, the first ``restarts // 4`` go
+    to a Newton-corrector sweep, and ``lam_hat`` is the largest ``|lam|``
+    among the pairs it converges to (0 if none).  The other ``restarts -
+    restarts // 4`` run shifted power iteration as one batch, on the shifts
+    ``BASE_SHIFT + 1.2 * lam_hat`` and ``BASE_SHIFT + 3.0 * lam_hat`` applied
+    to ``T`` and, for even order, to ``-T`` (odd-order spectra are symmetric
+    under negation, so the extra sign adds nothing there); a shift
+    comparable to ``|lam|`` stabilizes every local maximum, which a small
+    fixed shift can leave repelling.  The batch is split into column blocks
+    of at most ``POWER_BLOCK`` monomial values (one block for small
+    tensors).  The solver builds one :class:`SymMatvec`, so one monomial
+    workspace serves every power step, the Newton sweep and the polish: a
+    power block needs at most ``3 * POWER_BLOCK`` doubles (12 MiB) of it,
+    and the Newton sweep needs ``3 * C(n+k-2, k-1) * (restarts // 4)``.
+    Each config keeps its four largest unconverged iterates as extras, and
+    the first four extras, in config order, join the pool.  The pool, the
+    Newton and power pairs that converged, deduplicated (at most 24), and
+    those four extras, is polished by the Newton corrector in one batch, and
+    the pair of largest magnitude wins, with ties broken toward the larger
+    eigenvalue and then the lexicographically larger vector.  A pair is
+    flagged converged when its residual is at most ``10 * tol``; ``tol``
+    must be finite and at least :data:`TOL_FLOOR`.  ``tensor`` is a dense
+    symmetric array with finite entries.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -415,40 +421,19 @@ def dominant_eigen(
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((n, restarts))
     starts /= np.linalg.norm(starts, axis=0)
-    signs = (1.0,) if k % 2 == 1 else (1.0, -1.0)
-    # the restart budget is split three ways: small-shift power configs and a
-    # Newton corrector sweep explore, then power runs again with shifts
-    # scaled to the magnitude estimate.  A fixed small shift can leave the
-    # dominant fixed point locally unstable (its basin empties), while a
-    # shift comparable to |lambda| provably stabilizes every local maximum.
-    n_explore = max(restarts // 3, 1)
-    n_newton = max(restarts // 4, 1) if restarts >= 4 else 0
+    n_newton = restarts // 4
     candidates = []
-    extras = []
-    explore = [(s, b) for s in signs for b in (0.0, BASE_SHIFT, -BASE_SHIFT)]
-    _run_power_configs(
-        sym, explore, starts[:, :n_explore], tol, POWER_MAX_ITER, candidates, extras
-    )
     if n_newton:
-        X0 = starts[:, n_explore:n_explore + n_newton]
+        X0 = starts[:, :n_newton]
         lam0 = np.einsum("ij,ij->j", X0, sym(X0))
         X, lam, _, conv = _newton(sym, X0, lam0, max(tol, 1e-12), 60)
-        candidates.extend((float(lam[j]), X[:, j]) for j in conv)
-    rest = starts[:, n_explore + n_newton:]
-    if rest.shape[1]:
-        pool_so_far = candidates + extras
-        lam_hat = max((abs(c[0]) for c in pool_so_far), default=0.0)
-        scaled = [
-            (s, b)
-            for s in signs
-            for b in (BASE_SHIFT + 1.2 * lam_hat, BASE_SHIFT + 3.0 * lam_hat)
-        ]
-        _run_power_configs(
-            sym, scaled, rest, tol, 2 * POWER_MAX_ITER, candidates, extras
-        )
-
-    polished = _polish(sym, _distinct_candidates(candidates, limit=24) + extras[:4], tol)
-    return _select_best(polished)
+        candidates = [(float(lam[j]), X[:, j]) for j in conv]
+    lam_hat = max((abs(v) for v, _ in candidates), default=0.0)
+    signs = (1.0,) if k % 2 == 1 else (1.0, -1.0)
+    configs = [(s, BASE_SHIFT + c * lam_hat) for s in signs for c in (1.2, 3.0)]
+    found, extras = _run_power_configs(sym, configs, starts[:, n_newton:], tol)
+    pool = _distinct_candidates(candidates + found, limit=24) + extras[:4]
+    return _select_best(_polish(sym, pool, tol))
 
 
 def _distinct_candidates(candidates, limit, lam_width=1e-6, vec_width=1e-4):
@@ -531,9 +516,12 @@ def verify_decoupling(
     All three pairs are computed independently (the product side runs on the
     explicitly materialized product tensor), so the report measures how well
     the product's dominant pair factorizes rather than assuming it does.  The
-    product is built first, so one above ``kron.EXPLICIT_BUDGET`` entries
-    raises :class:`BudgetExceededError` before any eigenpair is computed.
+    operands are checked and the product is built first, so an operand with
+    a non-finite entry raises :class:`ValueError` before the product is
+    formed, and a product above ``kron.EXPLICIT_BUDGET`` entries raises
+    :class:`BudgetExceededError` before any eigenpair is computed.
     """
+    tensor_a, tensor_b = _finite(tensor_a), _finite(tensor_b)
     dense_kron = explicit_kron(tensor_a, tensor_b)
     seeds = np.random.SeedSequence(seed).spawn(3)
     dom_a = dominant_eigen(tensor_a, restarts, seeds[0], tol)

@@ -22,7 +22,7 @@ __all__ = [
 
 MIN_MOTIF = 2
 MAX_MOTIF = 9
-KNN_CHUNK = 4_000_000  # bound on query rows times points per distance block
+KNN_CHUNK = 4_000_000  # bound on query rows times points times width per distance block
 CODE_LIMIT = np.iinfo(np.int64).max  # bound on the codes of RowCodes; tests lower it
 
 
@@ -268,14 +268,14 @@ def nearest_rows(points: np.ndarray, ks) -> list:
     closest in squared 2-norm, nearest first (``ks`` is one count or one per
     row).  Equal distances break toward the lower index, so the neighbour
     sets are deterministic even when distances tie.  Distances are computed
-    in blocks of at most ``KNN_CHUNK`` query-point pairs to keep memory
-    bounded.
+    in blocks of at most ``KNN_CHUNK`` coordinate differences (query rows
+    times points times width) to keep memory bounded.
     """
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+    n, width = points.shape
     ks = np.broadcast_to(np.asarray(ks, dtype=np.int64), (n,))
     out = []
-    chunk = max(1, KNN_CHUNK // max(n, 1))
+    chunk = max(1, KNN_CHUNK // max(n * width, 1))
     for lo in range(0, n, chunk):
         diff = points[lo:lo + chunk, None, :] - points[None, :, :]
         dists = np.einsum("ijk,ijk->ij", diff, diff)

@@ -87,9 +87,14 @@ def test_knn_table_bit_identical(n, r, k, rng):
 
 
 def test_chunking_does_not_change_neighbours(monkeypatch, rng):
-    F = tied_factors(50, 3, rng)
-    ks = rng.integers(1, 49, size=50)
-    whole = nearest_rows(F, ks)
-    monkeypatch.setattr(graphs, "KNN_CHUNK", 7 * 50)
-    blocked = nearest_rows(F, ks)
-    assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+    # the chunk bounds rows times points times width: blocks of 7 rows here,
+    # where a bound on rows times points alone would give 7 * width rows,
+    # one block at width 16
+    for width in (3, 16):
+        F = tied_factors(50, width, rng)
+        ks = rng.integers(1, 49, size=50)
+        whole = nearest_rows(F, ks)
+        monkeypatch.setattr(graphs, "KNN_CHUNK", 7 * 50 * width)
+        blocked = nearest_rows(F, ks)
+        monkeypatch.undo()
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))

@@ -352,6 +352,19 @@ class TestEigcheckCommand:
             results.append(load_records(out))
         assert records_equal_modulo_timing(results[0], results[1])
 
+    def test_rejects_grid_over_product_budget(self, tmp_path, capsys):
+        # dimension 10 at order 5 gives a 10^10-entry product; the grid is
+        # refused before any trial, whichever pairs the trials would draw
+        out = str(tmp_path / "eig.jsonl")
+        argv = [
+            "eigcheck", "--dims", "2,3,10", "--orders", "3,5", "--trials", "12",
+            "--restarts", "500", "--seed", "3", "--out", out,
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--dims" in err and "--orders" in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize(
         "flag, value",
         [
