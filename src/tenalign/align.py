@@ -16,8 +16,9 @@ the (implicit) product tensor of the motif adjacency tensors:
   columns embed both vertex sets and the product of the factor matrices is
   matched once at the end.
 
-The methods supply only their step; one shared loop matches iterates by
-motifs aligned, returns the best-scoring iterate (earliest on ties) with its
+The methods supply only their steps on the run's one ``KronPair`` and share
+one remix and one truncation rule.  One loop builds the pair, matches iterates
+by motifs aligned, returns the best-scoring iterate (earliest on ties) with its
 matching, and applies the ``tol`` stop.
 """
 
@@ -127,7 +128,6 @@ class IterationStats:
 
 @dataclass
 class AlignmentOutput:
-    method: str
     per_iteration: list[IterationStats]
     best_index: int
     best_score: int | None
@@ -159,14 +159,17 @@ def _dense(iterate) -> np.ndarray:
 def _power_iteration(method, steps, tensor_a, tensor_b, opts) -> AlignmentOutput:
     """The loop shared by the three methods around their ``steps``.
 
-    ``steps(tensor_a, tensor_b, opts)`` yields ``(IterationStats, iterate)``
-    per iteration, the iterate a dense matrix or a :class:`FactorPair`.  The
-    loop matches iterates, keeps the earliest best-scoring one and stops when
-    the estimate ``lam`` changes by less than ``tol``.  Lambda-TAME's
-    independent sequences never stop early and are matched on the last
-    iterate only, unless ``match_every`` asks for every iterate; without
-    per-iterate matching the last iterate is the one matched and returned.
+    ``steps(pair, opts)`` yields ``(IterationStats, iterate)`` per iteration
+    from the run's one :class:`KronPair` (built first, so every method raises
+    its errors for unequal orders or a non-tensor operand), the iterate a dense
+    matrix or a :class:`FactorPair`.  The loop matches iterates, keeps the
+    earliest best-scoring one and stops when the estimate ``lam`` changes by
+    less than ``tol``.  Lambda-TAME's independent sequences never stop early
+    and are matched on the last iterate only, unless ``match_every`` asks for
+    every iterate; without per-iterate matching the last iterate is the one
+    matched and returned.
     """
+    pair = KronPair(tensor_a, tensor_b)
     for t in (tensor_a, tensor_b):
         if t.nnz == 0:
             raise DegenerateProblemError(
@@ -182,7 +185,7 @@ def _power_iteration(method, steps, tensor_a, tensor_b, opts) -> AlignmentOutput
     best_index = 0
     converged = per_graph
     lam_prev = np.inf
-    for entry, iterate in steps(tensor_a, tensor_b, opts):
+    for entry, iterate in steps(pair, opts):
         if match_every:
             matching, entry.score, entry.matching_seconds = _score_dense(
                 _dense(iterate), tensor_a, tensor_b
@@ -204,7 +207,6 @@ def _power_iteration(method, steps, tensor_a, tensor_b, opts) -> AlignmentOutput
         best, best_score, best_index = iterate, entry.score, entry.index
     dense = isinstance(best, np.ndarray)
     return AlignmentOutput(
-        method=method,
         per_iteration=stats,
         best_index=best_index,
         best_score=best_score,
@@ -216,18 +218,23 @@ def _power_iteration(method, steps, tensor_a, tensor_b, opts) -> AlignmentOutput
     )
 
 
+def _remix(x_hat, x, x0, opts: AlignOptions, ell: int) -> np.ndarray:
+    """The shifted power update ``alpha * x_hat + alpha * beta * x + (1 - alpha)
+    * x0``, normalized: of a dense iterate or of one Lambda-TAME column."""
+    new = opts.alpha * x_hat + (opts.alpha * opts.beta) * x + (1.0 - opts.alpha) * x0
+    norm = np.linalg.norm(new)
+    if norm == 0 or not np.isfinite(norm):
+        raise DegenerateIterateError(f"degenerate iterate at iteration {ell}")
+    new /= norm
+    return new
+
+
 def _dense_step(x_hat, X, X0, opts: AlignOptions, ell: int):
-    """Rayleigh estimate ``trace(X^T Xhat)`` and the remixed, renormalized
-    dense iterate ``alpha * Xhat + alpha * beta * X + (1 - alpha) * X_0``."""
+    """Rayleigh estimate ``trace(X^T Xhat)`` and the remixed dense iterate."""
     lam = float(np.sum(X * x_hat))
     if not np.isfinite(lam):
         raise NumericalFailureError("non-finite eigenvalue estimate")
-    x_new = opts.alpha * x_hat + (opts.alpha * opts.beta) * X + (1.0 - opts.alpha) * X0
-    norm = np.linalg.norm(x_new)
-    if norm == 0 or not np.isfinite(norm):
-        raise DegenerateIterateError(f"degenerate iterate at iteration {ell}")
-    x_new /= norm
-    return lam, x_new
+    return lam, _remix(x_hat, X, X0, opts, ell)
 
 
 def tame(
@@ -246,8 +253,7 @@ def tame(
     return _power_iteration("tame", _tame_steps, tensor_a, tensor_b, opts)
 
 
-def _tame_steps(tensor_a, tensor_b, opts):
-    pair = KronPair(tensor_a, tensor_b)
+def _tame_steps(pair, opts):
     m, n = pair.dim_a, pair.dim_b
     W = np.full((m, n), 1.0 / (m * n))
     X0 = W / np.linalg.norm(W)
@@ -275,25 +281,25 @@ def rank_reveal(U: np.ndarray, V: np.ndarray):
     qu, ru = np.linalg.qr(U, mode="reduced")
     qv, rv = np.linalg.qr(V, mode="reduced")
     core_u, sigma, core_vt = np.linalg.svd(ru @ rv.T)
-    if sigma.size == 0 or sigma[0] <= 0 or not np.isfinite(sigma[0]):
-        raise DegenerateIterateError("rank reveal found no nonzero direction")
-    keep = int(np.sum(sigma > TRUNC_TOL * sigma[0]))
+    keep = _keep_count(sigma)
     new_u = qu @ core_u[:, :keep]
     new_v = qv @ (core_vt[:keep].T * sigma[:keep])
     return FactorPair(new_u, new_v), sigma
 
 
 def truncated_svd(X: np.ndarray):
-    """SVD factors ``(left, right * sigma)`` of a dense matrix, truncated.
-
-    Singular values at or below ``TRUNC_TOL`` relative to the largest are
-    dropped; returns the :class:`FactorPair` and the full singular values.
-    """
+    """SVD factors ``(left, right * sigma)`` of a dense matrix, truncated as in
+    :func:`rank_reveal`; returns the :class:`FactorPair` and all singular values."""
     left, sigma, right_t = np.linalg.svd(X, full_matrices=False)
-    if sigma.size == 0 or not sigma[0] > 0:
-        raise DegenerateIterateError("rank reveal found no nonzero direction")
-    keep = int(np.sum(sigma > TRUNC_TOL * sigma[0]))
+    keep = _keep_count(sigma)
     return FactorPair(left[:, :keep], right_t[:keep].T * sigma[:keep]), sigma
+
+
+def _keep_count(sigma: np.ndarray) -> int:
+    """Count of the singular values above ``TRUNC_TOL`` times a finite positive largest."""
+    if sigma.size == 0 or not 0 < sigma[0] < math.inf:
+        raise DegenerateIterateError("rank reveal found no nonzero direction")
+    return int(np.sum(sigma > TRUNC_TOL * sigma[0]))
 
 
 def _normalized(factors: FactorPair) -> FactorPair:
@@ -347,8 +353,7 @@ def lowrank_tame(
     return _power_iteration("lowrank-tame", _lowrank_steps, tensor_a, tensor_b, opts)
 
 
-def _lowrank_steps(tensor_a, tensor_b, opts):
-    pair = KronPair(tensor_a, tensor_b)
+def _lowrank_steps(pair, opts):
     m, n = pair.dim_a, pair.dim_b
     k = pair.order
     x0 = _normalized(FactorPair(np.full((m, 1), 1.0 / (m * n)), np.ones((n, 1))))
@@ -418,11 +423,8 @@ def lambda_tame(
     return _power_iteration("lambda-tame", _lambda_steps, tensor_a, tensor_b, opts)
 
 
-def _lambda_steps(tensor_a, tensor_b, opts):
-    if tensor_a.order != tensor_b.order:
-        raise DegenerateProblemError("tensor orders differ")
-    k = tensor_a.order
-    m, n = tensor_a.dim, tensor_b.dim
+def _lambda_steps(pair, opts):
+    m, n = pair.dim_a, pair.dim_b
     L = opts.max_iter
     U = np.zeros((m, L + 1))
     V = np.zeros((n, L + 1))
@@ -432,23 +434,13 @@ def _lambda_steps(tensor_a, tensor_b, opts):
         yield IterationStats(0, 0.0, 1, None, 0.0, 0.0, path="column"), FactorPair(U, V)
     for ell in range(1, L + 1):
         t0 = time.perf_counter()
-        cu = ttv_same(tensor_a, U[:, ell - 1])
-        cv = ttv_same(tensor_b, V[:, ell - 1])
+        cu = ttv_same(pair.a, U[:, ell - 1])
+        cv = ttv_same(pair.b, V[:, ell - 1])
         t_contract = time.perf_counter() - t0
         lam_a = float(np.dot(U[:, ell - 1], cu))
         lam_b = float(np.dot(V[:, ell - 1], cv))
-        for mat, vec_c, col0 in ((U, cu, U[:, 0]), (V, cv, V[:, 0])):
-            new = (
-                opts.alpha * vec_c
-                + (opts.alpha * opts.beta) * mat[:, ell - 1]
-                + (1.0 - opts.alpha) * col0
-            )
-            norm = np.linalg.norm(new)
-            if norm == 0 or not np.isfinite(norm):
-                raise DegenerateIterateError(
-                    f"zero contraction column at iteration {ell}"
-                )
-            mat[:, ell] = new / norm
+        U[:, ell] = _remix(cu, U[:, ell - 1], U[:, 0], opts, ell)
+        V[:, ell] = _remix(cv, V[:, ell - 1], V[:, 0], opts, ell)
         # columns up to ell are final, so the iterate can share them
         yield IterationStats(
             ell, lam_a * lam_b, ell + 1, None, t_contract, 0.0, path="column"

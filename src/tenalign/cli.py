@@ -266,6 +266,11 @@ def cmd_align(args) -> int:
     graph_a = load_edge_list(args.graph_a)
     graph_b = load_edge_list(args.graph_b)
     truth = rec.load_truth(args.truth) if args.truth else None
+    if truth is not None and (len(truth) > graph_a.n or truth.max(initial=-1) >= graph_b.n):
+        raise TenalignError(
+            f"{args.truth}: truth of {len(truth)} rows with B-ids up to "
+            f"{truth.max() + 1} does not fit graphs of {graph_a.n} and {graph_b.n} vertices"
+        )
     record, matching = _align_once(
         graph_a, graph_b, truth, args, opts, ropts, args.method, args.refine, args.seed
     )

@@ -45,6 +45,9 @@ BASE_SHIFT = 1.0
 POWER_BLOCK = 1 << 19  # monomial values per power-iteration block of dominant_eigen (4 MiB)
 SPECTRUM_TOL = 1e-10  # Newton acceptance tolerance of spectrum_sample
 DEDUP_TOL = 1e-6  # spectrum_sample merges eigenvalues closer than this
+POOL_LAM_WIDTH = 1e-6  # dominant_eigen pools candidates this close in lambda
+POOL_VEC_WIDTH = 1e-4  # and this close in vector, up to sign, as one
+TIE_TOL = 1e-8  # dominant_eigen ties |lambda| within this times max(1, largest |lambda|)
 # smallest tol of dominant_eigen: below it power runs stop on roundoff, far
 # from a fixed point, and wrong pairs are flagged converged
 TOL_FLOOR = 1e-13
@@ -436,7 +439,7 @@ def dominant_eigen(
     return _select_best(_polish(sym, pool, tol))
 
 
-def _distinct_candidates(candidates, limit, lam_width=1e-6, vec_width=1e-4):
+def _distinct_candidates(candidates, limit):
     """Prune near-duplicate (eigenvalue, vector) pairs, largest |value| first.
 
     Degenerate dominant eigenvalues can carry several distinct eigenvectors,
@@ -446,9 +449,9 @@ def _distinct_candidates(candidates, limit, lam_width=1e-6, vec_width=1e-4):
     for lam, x in sorted(candidates, key=lambda c: -abs(c[0])):
         dup = False
         for lam2, x2 in pool:
-            if abs(lam - lam2) < lam_width and min(
+            if abs(lam - lam2) < POOL_LAM_WIDTH and min(
                 np.linalg.norm(x - x2), np.linalg.norm(x + x2)
-            ) < vec_width:
+            ) < POOL_VEC_WIDTH:
                 dup = True
                 break
         if not dup:
@@ -458,19 +461,19 @@ def _distinct_candidates(candidates, limit, lam_width=1e-6, vec_width=1e-4):
     return pool
 
 
-def _select_best(pairs, tie_tol=1e-8):
+def _select_best(pairs):
     """Largest |eigenvalue| wins; ties go to the larger eigenvalue, then the
-    lexicographically larger vector (grouping within ``tie_tol`` so roundoff
+    lexicographically larger vector (grouping within ``TIE_TOL`` so roundoff
     never decides ahead of the stated order)."""
     ok = [p for p in pairs if p.converged] or pairs
     scale = max(1.0, max(abs(p.eigenvalue) for p in ok))
     top = [
         p
         for p in ok
-        if abs(p.eigenvalue) >= max(abs(q.eigenvalue) for q in ok) - tie_tol * scale
+        if abs(p.eigenvalue) >= max(abs(q.eigenvalue) for q in ok) - TIE_TOL * scale
     ]
     lam_max = max(p.eigenvalue for p in top)
-    group = [p for p in top if p.eigenvalue >= lam_max - tie_tol * scale]
+    group = [p for p in top if p.eigenvalue >= lam_max - TIE_TOL * scale]
     # quantize so solver roundoff cannot decide ahead of genuine differences
     return max(group, key=lambda p: tuple(np.round(p.vector, 8)))
 

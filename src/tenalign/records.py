@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+from dataclasses import asdict
 
 import numpy as np
 import scipy
@@ -52,23 +53,18 @@ _THREAD_CAPS = {
 }
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
+def _numpy_value(value):
+    """``json.dumps`` hook: numpy scalars and arrays as Python values."""
+    if isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_records(path, records) -> None:
     """Write an iterable of dicts as JSON lines."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True, default=_numpy_value) + "\n")
 
 
 def load_records(path) -> list:
@@ -77,23 +73,12 @@ def load_records(path) -> list:
 
 
 def iteration_entries(output) -> list:
-    """Per-iteration metrics of an :class:`~tenalign.align.AlignmentOutput`."""
-    entries = []
-    for s in output.per_iteration:
-        entries.append(
-            {
-                "index": s.index,
-                "lambda": s.lam,
-                "rank": s.rank,
-                "score": s.score,
-                "sigma_ratio": s.sigma_ratio,
-                "path": s.path,
-                "contraction_seconds": s.contraction_seconds,
-                "matching_seconds": s.matching_seconds,
-                "rank_reveal_seconds": s.rank_reveal_seconds,
-            }
-        )
-    return entries
+    """The fields of each :class:`~tenalign.align.IterationStats` of an
+    :class:`~tenalign.align.AlignmentOutput`, with ``lam`` keyed ``lambda``."""
+    return [
+        {"lambda" if k == "lam" else k: v for k, v in asdict(s).items()}
+        for s in output.per_iteration
+    ]
 
 
 def environment() -> dict:
@@ -136,9 +121,11 @@ def save_matching(matching: Matching, path) -> None:
 
 
 def load_matching(path) -> Matching:
+    """Read a :func:`save_matching` file, whose ``# shape:`` header precedes the
+    pairs; a bad line raises :class:`InputFormatError` naming it."""
     weight = 0.0
-    n_rows = n_cols = 0
-    pairs = []
+    shape = None
+    pairs, rows, cols = [], set(), set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -151,14 +138,25 @@ def load_matching(path) -> Matching:
                     except ValueError:
                         raise InputFormatError(f"{where}: bad weight {line!r}") from None
                 elif body.startswith("shape:"):
-                    n_rows, n_cols = _pair(body.split(":", 1)[1].split(), where, line)
+                    shape = _pair(body.split(":", 1)[1].split(), where, line)
+                    if min(shape) < 0:
+                        raise InputFormatError(f"{where}: negative shape {line!r}")
             elif line:
+                if shape is None:
+                    raise InputFormatError(f"{where}: pair before the '# shape:' header")
                 i, j = _pair(line.split(), where, line)
+                if not (1 <= i <= shape[0] and 1 <= j <= shape[1]):
+                    raise InputFormatError(
+                        f"{where}: ids are 1-based and within the shape header, got {line!r}"
+                    )
+                if i in rows or j in cols:
+                    raise InputFormatError(f"{where}: vertex matched twice in {line!r}")
+                rows.add(i)
+                cols.add(j)
                 pairs.append((i - 1, j - 1))
-    try:
-        return Matching(n_rows, n_cols, pairs, weight)
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
+    if shape is None:
+        raise InputFormatError(f"{path}: no '# shape:' header")
+    return Matching(*shape, pairs, weight)
 
 
 def _pair(parts, where, line):

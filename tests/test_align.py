@@ -16,6 +16,7 @@ from tenalign.align import (
 from tenalign.errors import (
     DegenerateIterateError,
     DegenerateProblemError,
+    DimensionMismatchError,
     NumericalFailureError,
 )
 from tenalign.graphs import clique_tensor
@@ -238,6 +239,19 @@ def test_factor_pair_norm_matches_dense(rng):
 
 
 METHODS = {"tame": tame, "lowrank-tame": lowrank_tame, "lambda-tame": lambda_tame}
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_unequal_orders_rejected(triangle, method):
+    edge = MotifTensor(2, 3, [(0, 1)], [1.0])
+    with pytest.raises(DimensionMismatchError, match="orders differ"):
+        METHODS[method](triangle, edge)
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_dense_operand_rejected(triangle, method):
+    with pytest.raises(TypeError, match="MotifTensors"):
+        METHODS[method](triangle, np.ones((3, 3, 3)))
 
 
 @pytest.mark.parametrize("mode", ["always", "final", "auto"])

@@ -152,3 +152,24 @@ class TestMatchingErrors:
     def test_invalid_pairs_name_file(self, rows):
         raises_at(load_matching, f"# shape: 3 3\n{rows}", ":")
 
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            ("1 1\n1 2\n", 3, "matched twice"),
+            ("1 1\n2 1\n", 3, "matched twice"),
+            ("4 1\n", 2, "1-based"),
+            ("1 4\n", 2, "1-based"),
+            ("0 3\n", 2, "1-based"),
+            ("2 2\n3 -1\n", 3, "1-based"),
+        ],
+    )
+    def test_invalid_pairs_name_line(self, rows, line, message):
+        raises_at(load_matching, f"# shape: 3 3\n{rows}", f":{line}:", message)
+
+    def test_missing_shape_header_named(self):
+        raises_at(load_matching, "# weight: 1\n1 1\n", ":2:", "'# shape:' header")
+        raises_at(load_matching, "# weight: 1\n", ":", "no '# shape:' header")
+
+    def test_negative_shape(self):
+        raises_at(load_matching, "# shape: -1 3\n", ":1:", "negative shape")
+

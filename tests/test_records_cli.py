@@ -157,6 +157,38 @@ class TestAlignCommand:
         assert not os.path.exists(out)
         assert "tenalign:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, status",
+        [
+            ([(i, i) for i in range(1, 9)], 2),
+            ([(1, 2), (2, 1), (3, 5), (4, 3)], 2),
+            ([(1, 1), (2, 2), (3, 3)], 0),
+        ],
+        ids=["more-rows-than-a", "b-id-above-b", "shorter-than-a"],
+    )
+    def test_truth_must_fit_the_graphs(self, tmp_path, capsys, rows, status):
+        # a truth file shorter than graph A stays valid: the duplication model
+        # grows graph A past the reference graph the truth covers
+        from tenalign.graphs import Graph
+
+        graph = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        el = str(tmp_path / "g.el")
+        save_edge_list(graph, el)
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("".join(f"{a} {b}\n" for a, b in rows))
+        out = str(tmp_path / "r.json")
+        match_out = str(tmp_path / "m.txt")
+        argv = ["align", "--graph-a", el, "--graph-b", el, "--method", "tame",
+                "--truth", str(truth), "--out", out, "--matching-out", match_out]
+        assert main(argv) == status
+        if status == 0:
+            (record,) = load_records(out)
+            assert record["final"]["accuracy"] is not None
+            return
+        assert f"{truth}: truth of {len(rows)} rows" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert not os.path.exists(match_out)
+
     def test_determinism_modulo_timing(self, problem_files, tmp_path):
         outs = []
         for name in ("r1.json", "r2.json"):

@@ -6,7 +6,8 @@ import numba.  Every public function and class must have a caller in the
 pipeline, so that code only tests call does not collect in the library, and
 every private one a reference in the package, so that a replaced path cannot
 linger beside its successor.  The same holds for the public methods and
-properties of public classes.
+properties of public classes.  Every defaulted parameter must be passed by
+some pipeline call, so that a value no caller varies is a module constant.
 """
 
 import ast
@@ -114,3 +115,71 @@ def test_private_names_are_referenced_in_the_package():
             if name.startswith("_") and not name.endswith("__") and name not in used:
                 unreferenced.append(f"{path.stem}.{name} (line {node.lineno})")
     assert not unreferenced, "private names never referenced: " + ", ".join(unreferenced)
+
+
+def _defaulted_params(path):
+    """``(qualified name, callee name, parameter, positional slot)`` for every
+    defaulted parameter of a function or method in one source file.  The slot
+    counts positional arguments after ``self`` or ``cls`` (``None`` for a
+    keyword-only parameter); ``__init__`` is called through its class name."""
+    out = []
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                decorators = {d.id for d in child.decorator_list if isinstance(d, ast.Name)}
+                if cls is not None and "staticmethod" not in decorators:
+                    positional = positional[1:]
+                callee = cls.name if cls is not None and child.name == "__init__" else child.name
+                qualified = f"{path.stem}.{cls.name + '.' if cls else ''}{child.name}"
+                for slot, arg in enumerate(positional):
+                    if slot >= len(positional) - len(a.defaults):
+                        out.append((qualified, callee, arg.arg, slot))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out.append((qualified, callee, arg.arg, None))
+                visit(child)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return out
+
+
+def _passed_arguments(paths):
+    """Per callee name, the keywords and positional slots some call passes;
+    ``ALL`` where a call unpacks ``*args`` or ``**kwargs``."""
+    passed = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            seen = passed.setdefault(name, set())
+            unpacked = any(isinstance(a, ast.Starred) for a in node.args)
+            if unpacked or any(kw.arg is None for kw in node.keywords):
+                seen.add("ALL")
+            seen.update(range(len(node.args)))
+            seen.update(kw.arg for kw in node.keywords if kw.arg)
+    return passed
+
+
+def test_defaults_are_passed_by_a_pipeline_caller():
+    # a default that no pipeline call overrides is a constant in disguise:
+    # it belongs beside the module's other constants
+    passed = _passed_arguments(_pipeline_callers())
+    unpassed = []
+    for path in SOURCES:
+        for qualified, callee, param, slot in _defaulted_params(path):
+            seen = passed.get(callee, set())
+            if not seen & {"ALL", param, slot}:
+                unpassed.append(f"{qualified}({param})")
+    assert not unpassed, "defaults no pipeline call passes: " + ", ".join(unpassed)
