@@ -21,7 +21,6 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 __all__ = [
     "implicit_pair_contract",
@@ -106,6 +105,9 @@ def _incidence(E, dim):
     Each row lists its columns in ascending order, so a product with it adds
     slot by slot and, within a slot, hyperedge by hyperedge.
     """
+    # imported here, not at the top: scipy.sparse takes ~0.25 s to load
+    from scipy.sparse import csr_matrix
+
     rows = E.T.reshape(-1)
     indptr = np.zeros(dim + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])

@@ -8,7 +8,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -188,7 +188,7 @@ def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed
     matching = output.best_matching
     refine_seconds = 0.0
     resolved_k = None
-    counters = dict.fromkeys(("sweeps", "candidates_scored", "swaps_accepted"))
+    counters = dict.fromkeys(f.name for f in fields(RefineStats))
     if refine == "local-search":
         factors = _embedding_factors(output)
         resolved_k = ropts.resolve_k(factors.rank)

@@ -60,7 +60,7 @@ class EigenPair:
     eigenvalue: float
     vector: np.ndarray
     residual: float
-    converged: bool = True
+    converged: bool
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalFailureError
 from .graphs import Graph, RowCodes
@@ -73,6 +72,9 @@ def max_weight_matching(X: np.ndarray) -> Matching:
         raise ValueError("score matrix must be 2-D")
     if not np.all(np.isfinite(X)):
         raise NumericalFailureError("score matrix contains non-finite entries")
+    # imported here, not at the top: scipy.optimize takes ~0.65 s to load
+    from scipy.optimize import linear_sum_assignment
+
     m, n = X.shape
     clipped = np.maximum(X, 0.0)
     rows, cols = linear_sum_assignment(clipped, maximize=True)

@@ -175,8 +175,9 @@ def save_truth(truth: np.ndarray, path) -> None:
 def load_truth(path) -> np.ndarray:
     """Read ``A-id B-id`` rows (1-based) into ``truth[a] = b`` (0-based).
 
-    Each A-id and each B-id may appear once, and the A-ids must cover
-    ``1..N``; violations raise :class:`InputFormatError`.
+    Each A-id and each B-id may appear once, the A-ids must cover ``1..N``,
+    and there must be at least one row; violations raise
+    :class:`InputFormatError`.
     """
     mapping = {}
     seen_b = set()
@@ -196,7 +197,7 @@ def load_truth(path) -> np.ndarray:
             mapping[a - 1] = b - 1
             seen_b.add(b - 1)
     if not mapping:
-        return np.empty(0, dtype=np.int64)
+        raise InputFormatError(f"{path}: truth file holds no A-id B-id rows")
     size = max(mapping) + 1
     if sorted(mapping) != list(range(size)):
         raise InputFormatError(f"{path}: truth file must cover ids 1..{size}")

@@ -18,7 +18,7 @@ the same one a candidate-by-candidate loop finds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,11 +57,16 @@ class RefineStats:
     ``candidates_scored`` counts, per visited pair, the candidates up to and
     including the accepted one in candidate order (B side, then A side), so
     it does not depend on how the candidates are batched.
+    ``swaps_per_sweep`` has one entry per sweep, and ``converged`` says
+    whether the last sweep accepted no swap (so the search stopped on its
+    own rather than at ``max_sweeps``).
     """
 
     sweeps: int = 0
     candidates_scored: int = 0
     swaps_accepted: int = 0
+    converged: bool = False
+    swaps_per_sweep: list = field(default_factory=list)
 
 
 _EMPTY = np.iinfo(np.int64).min  # below every code: marks a free hash slot
@@ -284,14 +289,14 @@ def local_search(
         rows = np.nonzero(ma >= 0)[0]
         weights = np.einsum("ij,ij->i", factors.u[rows], factors.v[ma[rows]])
         order = np.lexsort((rows, -weights))
-        changed = False
+        swaps = 0
         for i in rows[order].tolist():
             ip = int(ma[i])
-            if ip < 0:
-                continue
-            if _improve_pair(state, stats, i, ip, cands_a[i], cands_b[ip]):
-                changed = True
-        if not changed:
+            if ip >= 0:
+                swaps += _improve_pair(state, stats, i, ip, cands_a[i], cands_b[ip])
+        stats.swaps_per_sweep.append(swaps)
+        if swaps == 0:
+            stats.converged = True
             break
 
     if (state.motifs, state.edges) < start_score:

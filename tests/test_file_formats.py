@@ -73,7 +73,7 @@ class TestRoundTrip:
         assert np.array_equal(loaded.edges, graph.edges)
 
     @PROPERTY
-    @given(data=st.data(), n=st.integers(0, 15))
+    @given(data=st.data(), n=st.integers(1, 15))
     def test_truth(self, data, n):
         extra = data.draw(st.integers(0, 5))
         truth = np.array(data.draw(st.permutations(range(n + extra)))[:n], dtype=np.int64)
@@ -135,6 +135,11 @@ class TestTruthErrors:
 
     def test_gap_in_a_ids(self):
         raises_at(load_truth, "1 1\n3 2\n", ":", "cover")
+
+    @pytest.mark.parametrize("content", ["", "# truth\n\n# none\n"])
+    def test_no_rows(self, content):
+        # an empty truth is no ground truth, not a truth every matching misses
+        raises_at(load_truth, content, ":", "no A-id B-id rows")
 
 
 class TestMatchingErrors:

@@ -149,6 +149,7 @@ def oracle_local_search(matching, graph_a, graph_b, tensor_a, tensor_b, factors,
         weights = np.einsum("ij,ij->i", factors.u[rows], factors.v[ma[rows]])
         order = np.lexsort((rows, -weights))
         changed = False
+        before = stats.swaps_accepted
         for i in rows[order]:
             i = int(i)
             ip = state.match_a[i]
@@ -156,7 +157,9 @@ def oracle_local_search(matching, graph_a, graph_b, tensor_a, tensor_b, factors,
                 continue
             if _oracle_improve_pair(state, stats, i, ip, knn_a, knn_b, adj_a, adj_b):
                 changed = True
+        stats.swaps_per_sweep.append(stats.swaps_accepted - before)
         if not changed:
+            stats.converged = True
             break
     assert (state.motifs, state.edges) >= start_score
     pairs = [

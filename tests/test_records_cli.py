@@ -136,17 +136,14 @@ class TestAlignCommand:
         assert main(common + ["--out", plain]) == 0
         (record,) = load_records(refined)
         (stats,) = seen
-        counters = {
-            key: record["refine"][key]
-            for key in ("sweeps", "candidates_scored", "swaps_accepted")
-        }
-        assert counters == asdict(stats)
+        keys = ("sweeps", "candidates_scored", "swaps_accepted", "converged", "swaps_per_sweep")
+        assert {key: record["refine"][key] for key in keys} == asdict(stats)
         assert 1 <= stats.sweeps <= 4
         assert 0 < stats.swaps_accepted <= stats.candidates_scored
+        assert sum(record["refine"]["swaps_per_sweep"]) == stats.swaps_accepted
         (record,) = load_records(plain)
-        assert record["refine"]["sweeps"] is None
-        assert record["refine"]["candidates_scored"] is None
-        assert record["refine"]["swaps_accepted"] is None
+        for key in keys:
+            assert record["refine"][key] is None
 
     def test_missing_file_is_clean_failure(self, problem_files, tmp_path, capsys):
         out = str(tmp_path / "never.json")
@@ -188,6 +185,17 @@ class TestAlignCommand:
         assert f"{truth}: truth of {len(rows)} rows" in capsys.readouterr().err
         assert not os.path.exists(out)
         assert not os.path.exists(match_out)
+
+    def test_truth_without_rows_is_rejected(self, problem_files, tmp_path, capsys):
+        # formerly exit 0 with accuracy 0.0, which reads as a measured total miss
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("# A-id B-id\n# no rows\n")
+        out = str(tmp_path / "r.json")
+        argv = ["align", "--graph-a", problem_files["a"], "--graph-b", problem_files["b"],
+                "--method", "tame", "--truth", str(truth), "--out", out]
+        assert main(argv) == 2
+        assert f"{truth}: truth file holds no A-id B-id rows" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_determinism_modulo_timing(self, problem_files, tmp_path):
         outs = []

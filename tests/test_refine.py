@@ -8,7 +8,7 @@ from tenalign.align import AlignOptions, FactorPair, lambda_tame
 from tenalign.errors import NumericalFailureError
 from tenalign.graphs import Graph, clique_tensor, nearest_rows
 from tenalign.matching import Matching, edges_aligned, motifs_aligned
-from tenalign.refine import RefineOptions, local_search
+from tenalign.refine import RefineOptions, RefineStats, local_search
 from tenalign.synth import make_problem
 
 
@@ -54,9 +54,13 @@ class TestLocalSearch:
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         factors = FactorPair(np.ones((3, 1)), np.ones((3, 1)))
         mt = Matching(3, 3, [(0, 0), (1, 1), (2, 2)], 3.0)
-        out = local_search(mt, g, g, triangle, triangle, factors, RefineOptions(k_neighbors=2))
+        stats = RefineStats()
+        out = local_search(
+            mt, g, g, triangle, triangle, factors, RefineOptions(k_neighbors=2), stats=stats
+        )
         assert motifs_aligned(out, triangle, triangle) == 1
         assert set(out.pairs) == set(mt.pairs)
+        assert (stats.sweeps, stats.swaps_per_sweep, stats.converged) == (1, [0], True)
 
     def test_repairs_swapped_labels(self):
         g = k4_with_tail()
@@ -149,6 +153,37 @@ class TestLocalSearch:
         )
         with pytest.raises(NumericalFailureError, match=r"\(4, 8\) -> "):
             local_search(mt, g, g, t, t, factors, RefineOptions(max_sweeps=1))
+
+
+class TestRefineStats:
+    def refined_stats(self, max_sweeps):
+        problem = make_problem(30, "er", {"p": 0.1}, seed=9)
+        ta = clique_tensor(problem.graph_a, 3)
+        tb = clique_tensor(problem.graph_b, 3)
+        out = lambda_tame(ta, tb, AlignOptions(alpha=0.5, beta=1.0, max_iter=6))
+        stats = RefineStats()
+        local_search(
+            out.best_matching, problem.graph_a, problem.graph_b, ta, tb,
+            out.best_factors, RefineOptions(max_sweeps=max_sweeps), stats=stats,
+        )
+        return stats
+
+    def test_per_sweep_swaps_add_up(self):
+        stats = self.refined_stats(10)
+        assert stats.swaps_accepted > 0
+        assert len(stats.swaps_per_sweep) == stats.sweeps
+        assert sum(stats.swaps_per_sweep) == stats.swaps_accepted
+        assert stats.converged and stats.swaps_per_sweep[-1] == 0
+        assert all(count > 0 for count in stats.swaps_per_sweep[:-1])
+
+    def test_cut_at_max_sweeps_is_not_converged(self):
+        stats = self.refined_stats(1)
+        assert stats.sweeps == 1 and stats.swaps_per_sweep == [stats.swaps_accepted]
+        assert stats.swaps_accepted > 0 and not stats.converged
+
+    def test_no_sweep_is_not_converged(self):
+        stats = self.refined_stats(0)
+        assert (stats.sweeps, stats.swaps_per_sweep, stats.converged) == (0, [], False)
 
 
 class TestRefineOptions:
