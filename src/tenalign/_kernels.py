@@ -138,6 +138,9 @@ def ttv_tuples(E, w, M, dim, digits):
     # term of a column block is a row gather G[c][digits]
     MT = np.ascontiguousarray(np.asarray(M, dtype=np.float64).T)
     G = [np.take(MT, E[:, c], axis=1) for c in range(k)]
+    # the first factor of each term carries the weight: weight times factor,
+    # applied once per slot instead of once per term
+    GW = [g * w for g in G]
     S = _incidence(E, dim)
     block = max(1, TUPLE_CHUNK // (k * nnz))
     for lo in range(0, width, block):
@@ -147,8 +150,7 @@ def ttv_tuples(E, w, M, dim, digits):
         for a in range(k):
             acc = None
             for p in perms:
-                term = G[rest[a, p[0]]][dig[:, 0]]
-                term *= w  # one product, so the same as weight times factor
+                term = GW[rest[a, p[0]]][dig[:, 0]]
                 for t in range(1, k - 1):
                     term *= G[rest[a, p[t]]][dig[:, t]]
                 acc = term if acc is None else np.add(acc, term, out=acc)

@@ -186,7 +186,7 @@ def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed
     output = _run_method(method, tensor_a, tensor_b, opts)
     method_seconds = time.perf_counter() - t0
     matching = output.best_matching
-    refine_seconds = 0.0
+    refine_seconds = knn_seconds = 0.0
     resolved_k = None
     counters = dict.fromkeys(f.name for f in fields(RefineStats))
     if refine == "local-search":
@@ -198,6 +198,7 @@ def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed
             matching, graph_a, graph_b, tensor_a, tensor_b, factors, ropts, stats=stats
         )
         refine_seconds = time.perf_counter() - t0
+        knn_seconds = stats.knn_seconds
         counters = asdict(stats)
     final = {
         "best_index": output.best_index,
@@ -255,6 +256,7 @@ def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed
                 s.rank_reveal_seconds for s in output.per_iteration
             ),
             "refine_seconds": refine_seconds,
+            "knn_seconds": knn_seconds,
             "total_seconds": time.perf_counter() - t_start,
         },
     }

@@ -183,7 +183,8 @@ class RowCodes:
     lacks one), which keeps the codes exact at any base and row width.  A
     query may also hold the id -1 when no table row holds ``base - 1``: it
     folds like that digit, into a code no table row has.  ``index`` builds
-    the code sets from sorted unique codes.
+    the code sets from sorted unique codes; ``find`` numbers the table's
+    distinct rows by their index in ``keys``.
     """
 
     def __init__(self, table: np.ndarray, base: int, index=SortedCodes):
@@ -202,12 +203,20 @@ class RowCodes:
 
     def contains(self, cols) -> np.ndarray:
         """Whether each query row, given as its ``k`` columns, is a table row."""
+        return self.keys.contains(self._code(cols))
+
+    def find(self, cols) -> np.ndarray:
+        """Per query row, its number in ``keys`` (below ``keys.bound``), or 0
+        when it is not a table row."""
+        return self.keys.find(self._code(cols))
+
+    def _code(self, cols) -> np.ndarray:
         code = np.asarray(cols[0], dtype=np.int64)
         for prefix, col in zip(self.prefixes, cols[1:]):
             if prefix is not None:
                 code = prefix.find(code)
             code = code * self.base + col
-        return self.keys.contains(code)
+        return code
 
 
 def _distinct(code: np.ndarray) -> np.ndarray:

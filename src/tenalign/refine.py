@@ -8,16 +8,23 @@ lexicographically, exchanging partners when the candidate is already
 matched.  Scores never regress and each accepted swap strictly improves the
 lexicographic score, so termination is guaranteed.
 
-The scoring is array-based.  Every A hyperedge and edge carries a flag
-saying whether its image under the matching is a B row; the B rows are a
-hash set of exact int64 codes of their sorted tuples.  All candidate swaps
-of a pair, B side first and then A side, are scored in one vectorized pass
-over the rows they touch, so the first improvement in candidate order is
-the same one a candidate-by-candidate loop finds.
+The scoring is array-based and exact.  Every A hyperedge and edge carries
+a flag saying whether its image under the matching is a B row; the B rows
+are a hash set of exact int64 codes of their sorted tuples.  Each layer
+also indexes every B row with one slot left out by the vertex that
+completes it.  All candidate swaps of a pair, B side first and then A side,
+are scored together: the rows of the pair's A vertex ``i`` are imaged once,
+and counting their completions per B vertex gives every candidate's change
+on them; only the rows of each candidate's partner are imaged per
+candidate.  Motifs are scored first, and edges, which only break motif
+ties, just for the candidates that tie on motifs ahead of the first motif
+gain.  So the first improvement in candidate order is the same one a
+candidate-by-candidate loop finds.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +66,9 @@ class RefineStats:
     it does not depend on how the candidates are batched.
     ``swaps_per_sweep`` has one entry per sweep, and ``converged`` says
     whether the last sweep accepted no swap (so the search stopped on its
-    own rather than at ``max_sweeps``).
+    own rather than at ``max_sweeps``).  ``knn_seconds``, the time spent
+    on both kNN tables and the candidate lists, is a plain attribute rather
+    than a field, so equality and ``asdict`` see only the counters.
     """
 
     sweeps: int = 0
@@ -67,6 +76,7 @@ class RefineStats:
     swaps_accepted: int = 0
     converged: bool = False
     swaps_per_sweep: list = field(default_factory=list)
+    knn_seconds = 0.0
 
 
 _EMPTY = np.iinfo(np.int64).min  # below every code: marks a free hash slot
@@ -139,29 +149,34 @@ class _Layer:
     1.0 when A row ``e`` maps onto a B row under the matching, else 0.0.
     ``base`` exceeds B's ids by one, so an unmatched vertex (-1) makes a
     row code no B row has.
+
+    The completion index maps each B row with one slot left out, by the
+    ``find`` number of the sorted ``k - 1`` ids that remain, to the left-out
+    ids: ``completions[lead[s]:lead[s + 1]]`` for number ``s``.  For the
+    edge layer it is B's adjacency.
     """
 
     def __init__(self, tensor_a: MotifTensor, rows_b: np.ndarray, base: int, match_a):
         self.match_a = match_a
+        self.base = base
         self.cols = list(tensor_a.hyperedges.T.copy())
         indptr, self.ids = tensor_a.incidence
         # one trailing zero-length entry, so that vertex -1 has no rows
         self.start = np.append(indptr[:-1], 0)
         self.count = np.append(np.diff(indptr), 0)
-        self.marked = np.zeros(tensor_a.nnz, dtype=bool)
         self.codes = RowCodes(rows_b, base, _CodeSet)
-        self.network = [
-            (a, a + 1) for top in range(tensor_a.order - 1, 0, -1) for a in range(top)
-        ]
+        # B rows are strictly increasing, so leaving out a slot keeps them sorted
+        rest = np.concatenate([np.delete(rows_b, q, axis=1) for q in range(tensor_a.order)])
+        self.subsets = RowCodes(rest, base, _CodeSet)
+        number = self.subsets.find(rest.T)
+        self.completions = rows_b.T.ravel()[np.argsort(number, kind="stable")]
+        self.lead = np.zeros(self.subsets.keys.bound + 1, dtype=np.int64)
+        np.cumsum(np.bincount(number, minlength=self.subsets.keys.bound), out=self.lead[1:])
         self.ok = self.row_ok([match_a[col] for col in self.cols]).astype(np.float64)
 
     def row_ok(self, images: list) -> np.ndarray:
         """Whether each row of ``images`` (``k`` columns of B ids) is a B row."""
-        for a, b in self.network:  # compare-exchange sort of each row
-            images[a], images[b] = (
-                np.minimum(images[a], images[b]), np.maximum(images[a], images[b])
-            )
-        return self.codes.contains(images)
+        return self.codes.contains(_sort_rows(images))
 
     def incident(self, v: int) -> np.ndarray:
         return self.ids[self.start[v]:self.start[v] + self.count[v]]
@@ -170,32 +185,38 @@ class _Layer:
         """Change in matched rows of each candidate swap ``c``.
 
         Candidate ``c`` maps ``i`` to ``x[c]`` and, when ``j[c] >= 0``,
-        ``j[c]`` to ``ip``.  Its affected rows are those of ``i`` plus those
-        of ``j[c]`` that do not contain ``i``.
+        ``j[c]`` to ``ip``; then ``x[c]`` is the old image of ``j[c]``, and
+        otherwise no vertex maps to it.  So a row of ``i`` without ``j[c]``
+        maps onto a B row exactly when ``x[c]`` completes the images of its
+        other vertices, and a row with ``j[c]`` already holds an image equal
+        to ``x[c]``, so ``x[c]`` never completes it.  The completions of the
+        rows of ``i`` are looked up once and counted per B vertex; the rows
+        of each ``j[c]``, those shared with ``i`` included, are imaged
+        directly.
         """
-        size = x.size
         own = self.incident(i)
+        members = [col[own] for col in self.cols]
+        # the k - 1 other vertices of each row, in order: rows are increasing
+        rest = [self.match_a[np.where(a < i, a, b)] for a, b in zip(members, members[1:])]
+        number = self.subsets.find(_sort_rows(rest))
+        first = self.lead[number]
+        found = self.completions[_spans(first, self.lead[number + 1] - first)]
+        # no B id is base - 1, so hit[-1], the count of x = -1, is 0
+        hit = np.bincount(found, minlength=self.base)
+
         counts = self.count[j]
-        ends = np.cumsum(counts)
-        other = self.ids[
-            np.arange(ends[-1]) + np.repeat(self.start[j] - ends + counts, counts)
-        ]
-        # a row holding both i and j[c] is already among the rows of i
-        self.marked[own] = True
-        keep = ~self.marked[other]
-        self.marked[own] = False
-        cand = np.concatenate(
-            (np.repeat(np.arange(size), own.size), np.repeat(np.arange(size), counts)[keep])
-        )
-        rows = np.concatenate((np.tile(own, size), other[keep]))
-        x, j = x[cand], j[cand]
-        images = []
+        rows = self.ids[_spans(self.start[j], counts)]
+        cand = np.repeat(np.arange(x.size), counts)
+        x_c, j_c = x[cand], j[cand]
+        images, shared = [], np.zeros(rows.size, dtype=bool)
         for col in self.cols:
             verts = col[rows]
-            image = np.where(verts == i, x, self.match_a[verts])
-            images.append(np.where(verts == j, ip, image))
-        diff = self.row_ok(images) - self.ok[rows]
-        return np.bincount(cand, weights=diff, minlength=size)
+            at_i = verts == i
+            shared |= at_i
+            images.append(np.where(verts == j_c, ip, np.where(at_i, x_c, self.match_a[verts])))
+        # a shared row's old flag is already in the sum over the rows of i
+        diff = self.row_ok(images) - np.where(shared, 0.0, self.ok[rows])
+        return hit[x] - self.ok[own].sum() + np.bincount(cand, weights=diff, minlength=x.size)
 
     def refresh(self, movers) -> int:
         """Re-score the rows of ``movers`` after a swap; return the change."""
@@ -204,6 +225,21 @@ class _Layer:
         gain = int(np.sum(new - self.ok[rows]))
         self.ok[rows] = new
         return gain
+
+
+def _sort_rows(cols: list) -> list:
+    """Sort each row of ``cols`` (columns of ids) in place, by compare-exchange."""
+    for top in range(len(cols) - 1, 0, -1):
+        for a in range(top):
+            cols[a], cols[a + 1] = np.minimum(cols[a], cols[a + 1]), np.maximum(cols[a], cols[a + 1])
+    return cols
+
+
+def _spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The indices ``start[t] .. start[t] + count[t] - 1``, for each ``t`` in turn."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(start - ends + count, count)
 
 
 class _SwapState:
@@ -224,9 +260,23 @@ class _SwapState:
         self.motifs = int(self.layers[0].ok.sum())
         self.edges = int(self.layers[1].ok.sum())
 
-    def score(self, i, ip, x, j) -> tuple:
-        """(d_motifs, d_edges) per candidate swap; see :meth:`_Layer.deltas`."""
-        return tuple(layer.deltas(i, ip, x, j) for layer in self.layers)
+    def first_gain(self, i, ip, x, j) -> int:
+        """The first candidate swap (see :meth:`_Layer.deltas`) that raises
+        (motifs, edges) lexicographically, or -1 when none does.
+
+        Edges only break motif ties, so the edge layer scores just the
+        candidates that tie on motifs ahead of the first motif gain.
+        """
+        hyper, edge = self.layers
+        dm = hyper.deltas(i, ip, x, j)
+        gains = np.flatnonzero(dm > 0)
+        stop = int(gains[0]) if gains.size else x.size
+        tied = np.flatnonzero(dm[:stop] == 0)
+        if tied.size:
+            won = tied[edge.deltas(i, ip, x[tied], j[tied]) > 0]
+            if won.size:
+                return int(won[0])
+        return stop if stop < x.size else -1
 
     def apply(self, i, ip, x, j) -> None:
         """Map ``i`` to ``x`` and ``j`` (if ``>= 0``) to ``ip``."""
@@ -260,9 +310,9 @@ def local_search(
     motifs while strictly increasing edges aligned; when the candidate is
     already matched the two pairs exchange partners and the combined effect
     is scored.  Sweeps repeat until no change or ``max_sweeps``.  All
-    candidates of a pair, B side first, are scored in one vectorized pass,
-    and the first improving one in candidate order is applied.  ``stats``,
-    when given, receives the work counters.
+    candidates of a pair, B side first, are scored together, and the first
+    improving one in candidate order is applied.  ``stats``, when given,
+    receives the work counters.
     """
     if stats is None:
         stats = RefineStats()
@@ -276,12 +326,14 @@ def local_search(
         raise ValueError("tensors must have equal order")
     state = _SwapState(matching, graph_a, graph_b, tensor_a, tensor_b)
     start_score = (state.motifs, state.edges)
+    t0 = time.perf_counter()
     k_a = min(opts.resolve_k(factors.rank), graph_a.n - 1)
     k_b = min(opts.resolve_k(factors.rank), graph_b.n - 1)
     knn_a = nearest_rows(factors.u, k_a) if k_a >= 1 else None
     knn_b = nearest_rows(factors.v, k_b) if k_b >= 1 else None
     cands_a = _candidate_lists(knn_a, graph_a.adjacency)
     cands_b = _candidate_lists(knn_b, graph_b.adjacency)
+    stats.knn_seconds = time.perf_counter() - t0
     ma = state.match_a
 
     for _ in range(opts.max_sweeps):
@@ -341,12 +393,10 @@ def _apply_first(state, stats, i, ip, x, j) -> bool:
     """Score the swaps ``i -> x[c], j[c] -> ip``; apply the first improving one."""
     if x.size == 0:
         return False
-    dm, de = state.score(i, ip, x, j)
-    better = np.flatnonzero((dm > 0) | ((dm == 0) & (de > 0)))
-    if better.size == 0:
+    c = state.first_gain(i, ip, x, j)
+    if c < 0:
         stats.candidates_scored += x.size
         return False
-    c = int(better[0])
     stats.candidates_scored += c + 1
     stats.swaps_accepted += 1
     state.apply(i, ip, int(x[c]), int(j[c]))

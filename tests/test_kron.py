@@ -322,7 +322,7 @@ class TestLowRank:
     def test_column_block_bit_identical_to_former_loop(self, rng):
         for k in (2, 3, 4, 5):
             for n, r in ((k, 1), (7, 3), (9, 4)):
-                t = random_motif(k, n, rng, weighted=k != 3)
+                t = random_motif(k, n, rng, weighted=True)
                 M = rng.standard_normal((n, r))
                 M[rng.random((n, r)) < 0.2] = -0.0
                 total = r ** (k - 1)

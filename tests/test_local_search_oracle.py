@@ -3,13 +3,18 @@
 ``OracleState`` and ``oracle_local_search`` are the former ``_SwapState``
 and sweep loop of ``refine.local_search``: every candidate swap is scored
 on its own with Python tuples and set lookups.  The array version scores
-all candidates of one side of a pair at once and must give the same pairs,
-a bit-identical weight and the same work counters.
+all candidates of a pair at once and must give the same pairs, a
+bit-identical weight and the same work counters.  ``former_deltas`` is the
+former ``_Layer.deltas``, which imaged every row of ``i`` once per
+candidate; the completion-index scoring must give the same changes.
 """
+
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import edge_set
@@ -351,3 +356,215 @@ class TestCodeSet:
         assert calls == [calls[0], calls[0] + 1]
         queries = np.arange(-10, 3010, dtype=np.int64)
         assert table.contains(queries).tolist() == np.isin(queries, keys).tolist()
+
+
+def former_deltas(layer, i, ip, x, j):
+    """The former ``_Layer.deltas``, kept as the oracle of the new scoring."""
+    size = x.size
+    own = layer.incident(i)
+    counts = layer.count[j]
+    ends = np.cumsum(counts)
+    other = layer.ids[
+        np.arange(ends[-1]) + np.repeat(layer.start[j] - ends + counts, counts)
+    ]
+    # a row holding both i and j[c] is already among the rows of i
+    marked = np.zeros(layer.ok.size, dtype=bool)
+    marked[own] = True
+    keep = ~marked[other]
+    cand = np.concatenate(
+        (np.repeat(np.arange(size), own.size), np.repeat(np.arange(size), counts)[keep])
+    )
+    rows = np.concatenate((np.tile(own, size), other[keep]))
+    x, j = x[cand], j[cand]
+    images = []
+    for col in layer.cols:
+        verts = col[rows]
+        image = np.where(verts == i, x, layer.match_a[verts])
+        images.append(np.where(verts == j, ip, image))
+    diff = layer.row_ok(images) - layer.ok[rows]
+    return np.bincount(cand, weights=diff, minlength=size)
+
+
+def candidates(state, cands_a, cands_b):
+    """``x`` and ``j`` of the candidate swaps, B side first, as ``_improve_pair`` builds them."""
+    cands_a = np.array(cands_a, dtype=np.int64)
+    cands_b = np.array(cands_b, dtype=np.int64)
+    x = np.concatenate((cands_b, state.match_a[cands_a]))
+    j = np.concatenate((state.match_b[cands_b], cands_a))
+    return x, j
+
+
+def full_lexicographic(state, i, ip, x, j):
+    """Index of the first (motifs, edges) gain with both layers scored in full, or -1."""
+    dm, de = (former_deltas(layer, i, ip, x, j) for layer in state.layers)
+    better = np.flatnonzero((dm > 0) | ((dm == 0) & (de > 0)))
+    return int(better[0]) if better.size else -1
+
+
+def assert_deltas_match(state, i, x, j):
+    ip = int(state.match_a[i])
+    for layer in state.layers:
+        got = layer.deltas(i, ip, x, j)
+        assert got.tolist() == former_deltas(layer, i, ip, x, j).tolist()
+
+
+@st.composite
+def scored_pairs(draw):
+    """A state, a matched pair ``(i, i')`` and candidate swaps of it.
+
+    B is a relabeled copy of A with rows dropped and added, and the
+    matching mixes the relabeling with other pairs, so that many candidate
+    swaps change the scores.
+    """
+    order = draw(st.integers(2, 4))
+    m, n = draw(st.integers(order, 8)), draw(st.integers(order, 8))
+
+    def subsets(size, width):
+        row = st.lists(st.integers(0, size - 1), min_size=width, max_size=width, unique=True)
+        return {tuple(sorted(r)) for r in draw(st.lists(row, max_size=14))}
+
+    def parts(size, motif_rows):
+        edges = {pair for r in motif_rows for pair in combinations(r, 2)} | subsets(size, 2)
+        tensor = MotifTensor(order, size, sorted(motif_rows), np.ones(len(motif_rows)))
+        return Graph.from_edges(size, edges), tensor
+
+    relabel, others = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    rows_a = subsets(m, order)
+    copied = {
+        tuple(sorted(relabel[v] for v in r)) for r in sorted(rows_a)
+        if max(r) < n and draw(st.booleans())
+    }
+    graph_a, tensor_a = parts(m, rows_a)
+    graph_b, tensor_b = parts(n, subsets(n, order) | copied)
+    pairs, used = [], set()
+    for v in range(min(m, n)):
+        target = draw(st.sampled_from([relabel[v], others[v], None]))
+        if target is not None and target not in used:
+            pairs.append((v, target))
+            used.add(target)
+    assume(pairs)
+    matching = Matching(m, n, pairs)
+    # a lowered limit makes the row and subset codes fold through their prefixes
+    limit = draw(st.sampled_from([graphs.CODE_LIMIT, 1, 40]))
+    with mock.patch.object(graphs, "CODE_LIMIT", limit):
+        state = refine._SwapState(matching, graph_a, graph_b, tensor_a, tensor_b)
+    i, ip = draw(st.sampled_from(pairs))
+    cands_a = draw(st.lists(st.sampled_from([v for v in range(m) if v != i]), unique=True))
+    cands_b = draw(st.lists(st.sampled_from([v for v in range(n) if v != ip]), unique=True))
+    x, j = candidates(state, cands_a, cands_b)
+    assume(x.size > 0)
+    return state, i, x, j
+
+
+def triangle_state(n_a, n_b, rows_a, rows_b, pairs):
+    """A state on order-3 tensors whose graphs hold the edges of their rows."""
+    def parts(n, rows):
+        edges = {(r[a], r[b]) for r in rows for a in range(3) for b in range(a + 1, 3)}
+        return Graph.from_edges(n, edges), MotifTensor(3, n, rows, np.ones(len(rows)))
+
+    graph_a, tensor_a = parts(n_a, rows_a)
+    graph_b, tensor_b = parts(n_b, rows_b)
+    return refine._SwapState(Matching(n_a, n_b, pairs), graph_a, graph_b, tensor_a, tensor_b)
+
+
+class TestCompletionScoring:
+    @settings(max_examples=300, deadline=None)
+    @given(case=scored_pairs())
+    def test_matches_former_deltas(self, case):
+        assert_deltas_match(*case)
+
+    def test_empty_b_rows(self):
+        state = triangle_state(4, 4, [(0, 1, 2), (1, 2, 3)], [], [(0, 0), (1, 1), (2, 2)])
+        x, j = candidates(state, [1, 3], [1, 3])
+        assert_deltas_match(state, 0, x, j)
+        assert state.layers[0].deltas(0, 0, x, j).tolist() == [0.0] * 4
+
+    def test_every_partner_unmatched(self):
+        # j = -1 for every candidate: no rows of j, only the rows of i
+        state = triangle_state(3, 6, [(0, 1, 2)], [(1, 2, 3), (1, 2, 4)], [(0, 0), (1, 1), (2, 2)])
+        x, j = candidates(state, [], [3, 4, 5])
+        assert j.tolist() == [-1, -1, -1]
+        assert_deltas_match(state, 0, x, j)
+        assert state.layers[0].deltas(0, 0, x, j).tolist() == [1.0, 1.0, 0.0]
+
+    def test_unmatched_candidate_partner(self):
+        # A-side candidate 3 is unmatched, so i moves to x = -1
+        state = triangle_state(4, 4, [(0, 1, 2), (1, 2, 3)], [(0, 1, 2)], [(0, 0), (1, 1), (2, 2)])
+        x, j = candidates(state, [3, 1], [])
+        assert x.tolist() == [-1, 1]
+        assert_deltas_match(state, 0, x, j)
+        # candidate 3 moves row (0, 1, 2) off B and row (1, 2, 3) onto it
+        assert state.layers[0].deltas(0, 0, x, j).tolist() == [0.0, 0.0]
+
+    def test_unmatched_vertices_in_rows_of_i(self):
+        state = triangle_state(5, 5, [(0, 1, 2), (0, 3, 4)], [(1, 2, 3), (0, 1, 2)], [(0, 0), (1, 1), (2, 2)])
+        x, j = candidates(state, [1, 3], [3, 4])
+        assert_deltas_match(state, 0, x, j)
+
+    @pytest.mark.parametrize("limit", [1, 7])
+    def test_folded_subset_codes(self, monkeypatch, limit):
+        monkeypatch.setattr(graphs, "CODE_LIMIT", limit)
+        mt, ga, gb, ta, tb, _ = lambda_tame_problem(40, 4, "er", {"p": 0.3}, order=4)
+        state = refine._SwapState(mt, ga, gb, ta, tb)
+        assert state.layers[0].subsets.prefixes[-1] is not None
+        rng = np.random.default_rng(5)
+        for i, _ in mt.pairs[:10]:
+            x, j = candidates(state, rng.choice(ga.n, 12, replace=False), rng.choice(gb.n, 12, replace=False))
+            keep = (j != i) & (x != state.match_a[i])
+            assert_deltas_match(state, i, x[keep], j[keep])
+
+
+class TestFirstGain:
+    @settings(max_examples=300, deadline=None)
+    @given(case=scored_pairs())
+    def test_same_choice_and_count_as_full_scoring(self, case):
+        state, i, x, j = case
+        ip = int(state.match_a[i])
+        want = full_lexicographic(state, i, ip, x, j)
+        assert state.first_gain(i, ip, x, j) == want
+        stats = RefineStats()
+        assert refine._apply_first(state, stats, i, ip, x, j) == (want >= 0)
+        assert stats.candidates_scored == (want + 1 if want >= 0 else x.size)
+
+    def spied(self, state):
+        calls = []
+        edge = state.layers[1]
+        score = edge.deltas
+
+        def spy(i, ip, x, j):
+            calls.append(x.tolist())
+            return score(i, ip, x, j)
+
+        edge.deltas = spy
+        return calls
+
+    def test_motif_tie_ahead_of_motif_gain_wins_on_edges(self):
+        # i = 0 sits at B vertex 5: candidate 6 keeps the triangle count and
+        # gains edge (1, 6); candidate 0, after it, restores the triangle
+        ga = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        gb = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (1, 6)])
+        ta, tb = clique_tensor(ga, 3), clique_tensor(gb, 3)
+        state = refine._SwapState(Matching(3, 7, [(0, 5), (1, 1), (2, 2)]), ga, gb, ta, tb)
+        calls = self.spied(state)
+        x, j = np.array([6, 0]), np.array([-1, -1])
+        assert full_lexicographic(state, 0, 5, x, j) == 0
+        assert state.first_gain(0, 5, x, j) == 0
+        assert calls == [[6]]
+        assert state.first_gain(0, 5, x[::-1].copy(), j) == 0
+        assert calls == [[6]]
+
+    def test_edge_layer_idle_without_ties(self):
+        # i = 0 at B vertex 4 aligns no triangle: candidate 0 gains one, and
+        # the tie of candidate x = -1 comes after that gain
+        state = triangle_state(5, 5, [(0, 1, 2)], [(0, 1, 2), (1, 2, 3)], [(0, 4), (1, 1), (2, 2)])
+        calls = self.spied(state)
+        x, j = candidates(state, [3], [0])
+        assert state.layers[0].deltas(0, 4, x, j).tolist() == [1.0, 0.0]
+        assert state.first_gain(0, 4, x, j) == 0
+        # i = 0 at B vertex 3 aligns the triangle, and moving it to -1 loses it
+        state = triangle_state(4, 4, [(0, 1, 2)], [(0, 1, 2), (1, 2, 3)], [(0, 3), (1, 1), (2, 2)])
+        more_calls = self.spied(state)
+        x, j = candidates(state, [3], [])
+        assert state.layers[0].deltas(0, 3, x, j).tolist() == [-1.0]
+        assert state.first_gain(0, 3, x, j) == -1
+        assert calls == more_calls == []

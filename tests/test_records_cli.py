@@ -145,6 +145,19 @@ class TestAlignCommand:
         for key in keys:
             assert record["refine"][key] is None
 
+    def test_knn_seconds_in_timings(self, problem_files, tmp_path):
+        common = [
+            "align", "--graph-a", problem_files["a"], "--graph-b", problem_files["b"],
+            "--method", "lambda-tame", "--sweeps", "2",
+        ]
+        refined, plain = str(tmp_path / "refined.json"), str(tmp_path / "plain.json")
+        assert main(common + ["--refine", "local-search", "--out", refined]) == 0
+        assert main(common + ["--out", plain]) == 0
+        (timings,) = (record["timings"] for record in load_records(refined))
+        assert 0.0 < timings["knn_seconds"] <= timings["refine_seconds"]
+        (timings,) = (record["timings"] for record in load_records(plain))
+        assert timings["knn_seconds"] == timings["refine_seconds"] == 0.0
+
     def test_missing_file_is_clean_failure(self, problem_files, tmp_path, capsys):
         out = str(tmp_path / "never.json")
         code = main(

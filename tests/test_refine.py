@@ -146,11 +146,7 @@ class TestLocalSearch:
         mt = Matching(g.n, g.n, [(i, i) for i in range(g.n)])
         emb = np.random.default_rng(0).standard_normal((g.n, 2))
         factors = FactorPair(emb, emb.copy())
-        monkeypatch.setattr(
-            refine._SwapState,
-            "score",
-            lambda self, i, ip, x, j: (np.ones(x.size), np.zeros(x.size)),
-        )
+        monkeypatch.setattr(refine._SwapState, "first_gain", lambda self, i, ip, x, j: 0)
         with pytest.raises(NumericalFailureError, match=r"\(4, 8\) -> "):
             local_search(mt, g, g, t, t, factors, RefineOptions(max_sweeps=1))
 
