@@ -121,8 +121,8 @@ class IterationStats:
     score: int | None
     contraction_seconds: float
     matching_seconds: float
+    path: str
     sigma_ratio: float | None = None
-    path: str = ""
     rank_reveal_seconds: float = 0.0
 
 
@@ -132,10 +132,10 @@ class AlignmentOutput:
     best_index: int
     best_score: int | None
     best_matching: Matching | None
-    best_factors: FactorPair | None = None
-    best_dense: np.ndarray | None = None
-    converged: bool = False
-    iterates: list | None = None  # densified iterates when requested
+    best_factors: FactorPair | None
+    best_dense: np.ndarray | None
+    converged: bool
+    iterates: list | None  # densified iterates when requested
 
     def best_matrix(self) -> np.ndarray:
         if self.best_dense is not None:

@@ -12,7 +12,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from . import kron
+from . import _blas, kron
 from . import records as rec
 from .align import AlignOptions, FactorPair, lambda_tame, lowrank_tame, tame, truncated_svd
 from .eigen import TOL_FLOOR, random_symmetric_tensor, verify_decoupling
@@ -440,17 +440,20 @@ def cmd_synth(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "align":
-            return cmd_align(args)
-        if args.command == "eigcheck":
-            return cmd_eigcheck(args)
-        if args.command == "synth":
-            return cmd_synth(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (TenalignError, OSError, ValueError) as exc:
-        print(f"tenalign: {exc}", file=sys.stderr)
-        return 2
+    # one BLAS thread: faster on these shapes, and the same last bits on
+    # any core count (see tenalign._blas)
+    with _blas.one_thread():
+        try:
+            if args.command == "align":
+                return cmd_align(args)
+            if args.command == "eigcheck":
+                return cmd_eigcheck(args)
+            if args.command == "synth":
+                return cmd_synth(args)
+            parser.error(f"unknown command {args.command!r}")
+        except (TenalignError, OSError, ValueError) as exc:
+            print(f"tenalign: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

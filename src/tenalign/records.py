@@ -15,6 +15,7 @@ from dataclasses import asdict
 import numpy as np
 import scipy
 
+from . import _blas
 from .errors import InputFormatError
 from .graphs import parse_ints
 from .matching import Matching
@@ -36,7 +37,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _blas() -> dict:
+def _blas_build() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
@@ -44,9 +45,11 @@ def _blas() -> dict:
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
-# Read once, at import.  The BLAS libraries read their thread caps when numpy
-# loads, so the values this process started with are the ones in effect.
-_BLAS = _blas()
+# Read once, at import: the caps this process started with.  The BLAS
+# libraries read them when numpy loads, so they set the thread count of
+# library calls; CLI commands run on one OpenBLAS thread whatever the caps
+# (see tenalign._blas), and ``blas_threads`` records the count in effect.
+_BLAS = _blas_build()
 _THREAD_CAPS = {
     name: os.environ.get(name)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -82,15 +85,17 @@ def iteration_entries(output) -> list:
 
 
 def environment() -> dict:
-    """Python, numpy, scipy and BLAS versions and the BLAS thread caps
-    (``None`` where unset) of this process, for the ``environment`` block of
-    a run record."""
+    """Python, numpy, scipy and BLAS versions, the BLAS thread caps
+    (``None`` where unset) of this process and the OpenBLAS thread count in
+    effect (``None`` where numpy links no OpenBLAS), for the ``environment``
+    block of a run record."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": dict(_BLAS),
         "threads": dict(_THREAD_CAPS),
+        "blas_threads": _blas.threads(),
     }
 
 

@@ -66,16 +66,17 @@ class RefineStats:
     it does not depend on how the candidates are batched.
     ``swaps_per_sweep`` has one entry per sweep, and ``converged`` says
     whether the last sweep accepted no swap (so the search stopped on its
-    own rather than at ``max_sweeps``).  ``knn_seconds``, the time spent
+    own rather than at ``max_sweeps``).  The counters start at zero and are
+    no constructor arguments.  ``knn_seconds``, the time spent
     on both kNN tables and the candidate lists, is a plain attribute rather
     than a field, so equality and ``asdict`` see only the counters.
     """
 
-    sweeps: int = 0
-    candidates_scored: int = 0
-    swaps_accepted: int = 0
-    converged: bool = False
-    swaps_per_sweep: list = field(default_factory=list)
+    sweeps: int = field(default=0, init=False)
+    candidates_scored: int = field(default=0, init=False)
+    swaps_accepted: int = field(default=0, init=False)
+    converged: bool = field(default=False, init=False)
+    swaps_per_sweep: list = field(default_factory=list, init=False)
     knn_seconds = 0.0
 
 

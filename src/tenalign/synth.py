@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class AlignmentProblem:
     graph_a: Graph
     graph_b: Graph
     truth: np.ndarray  # truth[i] = B-vertex matching reference vertex i
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
 
     def __post_init__(self):
         truth = np.asarray(self.truth, dtype=np.int64)

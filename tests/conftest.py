@@ -2,9 +2,10 @@
 
 import os
 
-# One BLAS thread per test process: on a busy host a second OpenBLAS thread
-# spin-waits for a core and makes the QR and SVD calls of the low-rank tests
-# several times slower.  Set before numpy is first imported.
+# One BLAS thread for the tests that call library functions directly (cli.main
+# pins one thread itself): on a busy host a second OpenBLAS thread spin-waits
+# for a core and makes the QR and SVD calls of the low-rank tests several
+# times slower.  Set before numpy is first imported.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

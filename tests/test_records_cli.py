@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from tenalign import kron
+from tenalign import _blas, kron
 from tenalign.cli import main
 from tenalign.graphs import save_edge_list
 from tenalign.matching import Matching
@@ -234,8 +234,9 @@ class TestAlignCommand:
         assert outs[0]["timings"]["rank_reveal_seconds"] == pytest.approx(sum(reveal))
 
     def test_environment_block(self, problem_files, tmp_path):
-        # align, synth and eigcheck records name the versions, the BLAS and
-        # the thread caps of the process; two runs in one process stay equal
+        # align, synth and eigcheck records name the versions, the BLAS, the
+        # thread caps of the process and the OpenBLAS thread count the
+        # command ran with; two runs in one process stay equal
         outs = []
         for name in ("e1.json", "e2.json"):
             out = str(tmp_path / name)
@@ -257,7 +258,8 @@ class TestAlignCommand:
         ) == 0
         eig_records = load_records(eig_out)
         env = outs[0]["environment"]
-        assert env.keys() == {"python", "numpy", "scipy", "blas", "threads"}
+        assert env.keys() == {"python", "numpy", "scipy", "blas", "threads", "blas_threads"}
+        assert env["blas_threads"] == (None if _blas._library() is None else 1)
         assert env["numpy"] == np.__version__
         assert env["blas"].keys() == {"name", "version"}
         assert env["threads"] == {

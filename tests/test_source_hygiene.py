@@ -6,8 +6,10 @@ import numba.  Every public function and class must have a caller in the
 pipeline, so that code only tests call does not collect in the library, and
 every private one a reference in the package, so that a replaced path cannot
 linger beside its successor.  The same holds for the public methods and
-properties of public classes.  Every defaulted parameter must be passed by
-some pipeline call, so that a value no caller varies is a module constant.
+properties of public classes.  Every defaulted parameter, dataclass fields
+included, must be passed by some pipeline call, so that a value no caller
+varies is a module constant, and every defaulted dataclass field must be left
+out by one, so that its default applies.
 """
 
 import ast
@@ -117,16 +119,54 @@ def test_private_names_are_referenced_in_the_package():
     assert not unreferenced, "private names never referenced: " + ", ".join(unreferenced)
 
 
+def _called_name(node):
+    """The name a call or decorator goes by: ``f`` for ``f`` and ``m.f``."""
+    target = node.func if isinstance(node, ast.Call) else node
+    if isinstance(target, ast.Name):
+        return target.id
+    return getattr(target, "attr", None)
+
+
+def _dataclass_defaults(cls):
+    """``(field, positional slot)`` for every defaulted field of a dataclass;
+    a field with ``init=False`` or a ``ClassVar`` is no parameter."""
+    out = []
+    slot = 0
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        keywords = {}
+        if isinstance(value, ast.Call) and _called_name(value) == "field":
+            keywords = {kw.arg: kw.value for kw in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            if not keywords.keys() & {"default", "default_factory"}:
+                value = None
+        if value is not None:
+            out.append((stmt.target.id, slot))
+        slot += 1
+    return out
+
+
 def _defaulted_params(path):
-    """``(qualified name, callee name, parameter, positional slot)`` for every
-    defaulted parameter of a function or method in one source file.  The slot
+    """``(qualified name, callee name, parameter, positional slot, field)``
+    for every defaulted parameter of a function or method in one source file,
+    and for every defaulted field of a dataclass (``field`` true).  The slot
     counts positional arguments after ``self`` or ``cls`` (``None`` for a
-    keyword-only parameter); ``__init__`` is called through its class name."""
+    keyword-only parameter); ``__init__``, and with it a dataclass, is called
+    through its class name."""
     out = []
 
     def visit(node, cls=None):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if any(_called_name(d) == "dataclass" for d in child.decorator_list):
+                    for name, slot in _dataclass_defaults(child):
+                        out.append((f"{path.stem}.{child.name}", child.name, name, slot, True))
                 visit(child, child)
                 continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -139,10 +179,10 @@ def _defaulted_params(path):
                 qualified = f"{path.stem}.{cls.name + '.' if cls else ''}{child.name}"
                 for slot, arg in enumerate(positional):
                     if slot >= len(positional) - len(a.defaults):
-                        out.append((qualified, callee, arg.arg, slot))
+                        out.append((qualified, callee, arg.arg, slot, False))
                 for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                     if default is not None:
-                        out.append((qualified, callee, arg.arg, None))
+                        out.append((qualified, callee, arg.arg, None, False))
                 visit(child)
             else:
                 visit(child, cls)
@@ -151,35 +191,47 @@ def _defaulted_params(path):
     return out
 
 
-def _passed_arguments(paths):
-    """Per callee name, the keywords and positional slots some call passes;
-    ``ALL`` where a call unpacks ``*args`` or ``**kwargs``."""
-    passed = {}
+def _calls(paths):
+    """Per callee name, one set per call of the keywords and positional
+    slots it passes, with ``ALL`` where it unpacks ``*args`` or ``**kwargs``."""
+    calls = {}
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = _called_name(node)
             if name is None:
                 continue
-            seen = passed.setdefault(name, set())
+            passed = set(range(len(node.args)))
+            passed.update(kw.arg for kw in node.keywords if kw.arg)
             unpacked = any(isinstance(a, ast.Starred) for a in node.args)
             if unpacked or any(kw.arg is None for kw in node.keywords):
-                seen.add("ALL")
-            seen.update(range(len(node.args)))
-            seen.update(kw.arg for kw in node.keywords if kw.arg)
-    return passed
+                passed.add("ALL")
+            calls.setdefault(name, []).append(passed)
+    return calls
 
 
 def test_defaults_are_passed_by_a_pipeline_caller():
     # a default that no pipeline call overrides is a constant in disguise:
     # it belongs beside the module's other constants
-    passed = _passed_arguments(_pipeline_callers())
+    calls = _calls(_pipeline_callers())
     unpassed = []
     for path in SOURCES:
-        for qualified, callee, param, slot in _defaulted_params(path):
-            seen = passed.get(callee, set())
+        for qualified, callee, param, slot, _ in _defaulted_params(path):
+            seen = set().union(*calls.get(callee, []))
             if not seen & {"ALL", param, slot}:
                 unpassed.append(f"{qualified}({param})")
     assert not unpassed, "defaults no pipeline call passes: " + ", ".join(unpassed)
+
+
+def test_field_defaults_apply_in_a_pipeline_call():
+    # a dataclass field default that every pipeline construction overrides
+    # never applies; a call that unpacks its arguments may leave it out
+    calls = _calls(_pipeline_callers())
+    dead = []
+    for path in SOURCES:
+        for qualified, callee, param, slot, field in _defaulted_params(path):
+            made = calls.get(callee, [])
+            if field and made and all({param, slot} & c and "ALL" not in c for c in made):
+                dead.append(f"{qualified}({param})")
+    assert not dead, "field defaults every pipeline call overrides: " + ", ".join(dead)

@@ -225,4 +225,4 @@ class TestMakeProblem:
     def test_truth_must_be_injective(self):
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(ValueError, match="injective"):
-            AlignmentProblem(g, g, np.array([0, 0]))
+            AlignmentProblem(g, g, np.array([0, 0]), {})
