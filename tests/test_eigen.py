@@ -3,18 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_contract, random_motif
 from tenalign import eigen
 from tenalign.errors import BudgetExceededError
 from tenalign.eigen import (
     EigenPair,
+    EigenStats,
     SymMatvec,
     _MonomialPlan,
     _canonical,
+    _distinct_candidates,
+    _monomial_tables,
     _newton,
     _polish,
     _power_batch,
+    _tail_buckets,
     dominant_eigen,
     random_symmetric_tensor,
     spectrum_sample,
@@ -209,7 +215,7 @@ class TestSshopm:
             X0 = rng.standard_normal((dim, 18))
             X0 /= np.linalg.norm(X0, axis=0)
             sign, shifts = np.array([configs[j % 6] for j in range(18)]).T
-            lam, xs, conv = _power_batch(SymMatvec(T), X0, sign, shifts, 1e-10, 300)
+            lam, xs, conv, _ = _power_batch(SymMatvec(T), X0, sign, shifts, 1e-10, 300)
             for j in range(X0.shape[1]):
                 ref = sshopm(sign[j] * T, shifts[j], X0[:, j], tol=1e-10, max_iter=300)
                 assert conv[j] == ref.converged
@@ -301,6 +307,294 @@ class TestPolish:
         lam0 = np.einsum("ij,ij->j", X0, sym(X0))
         assert list(_newton(sym, X0, lam0, 1e-13, 30)[3]) == [1]
         assert_polish_matches_serial(sym, list(zip(lam0, X0.T)), 1e-10)
+
+
+POOL_LAM_WIDTH, POOL_VEC_WIDTH = eigen.POOL_LAM_WIDTH, eigen.POOL_VEC_WIDTH
+
+
+# The three loops below are the former solver loops, kept verbatim as the
+# oracles of their rewrites in ``eigen``, which must give the same bits.
+
+
+def former_power_batch(sym: SymMatvec, X0, sign, shift, tol, max_iter):
+    """Masked batched power iteration, column ``j`` on ``sign[j] * T`` with
+    shift ``shift[j]``; returns per-column (lam of ``sign[j] * T``, x,
+    converged).
+
+    Only the active columns are kept, with their sign, shift and previous
+    Rayleigh estimate; they are compacted on the steps where some column
+    stops, so the common step gathers and scatters nothing.
+    """
+    r = X0.shape[1]
+    out_x = X0.copy()
+    out_lam = np.zeros(r)
+    converged = np.zeros(r, dtype=bool)
+    idx = np.arange(r)
+    X = np.ascontiguousarray(X0)
+    lam = np.full(r, np.inf)
+    for _ in range(max_iter):
+        c = sym(X) * sign
+        lam_new = np.einsum("ij,ij->j", X, c)
+        newly = np.abs(lam_new - lam) < tol
+        y = c + shift * X
+        norms = np.linalg.norm(y, axis=0)
+        stop = newly | (norms == 0)
+        lam = lam_new
+        if stop.any():
+            done = idx[stop]
+            out_lam[done] = lam[stop]
+            out_x[:, done] = X[:, stop]
+            converged[idx[newly]] = True
+            keep = ~stop
+            if not keep.any():
+                return out_lam, out_x, converged
+            idx, y, norms = idx[keep], y[:, keep], norms[keep]
+            sign, shift, lam = sign[keep], shift[keep], lam[keep]
+        X = y / norms
+    out_lam[idx] = lam
+    out_x[:, idx] = X
+    return out_lam, out_x, converged
+
+
+def former_newton(sym: SymMatvec, X: np.ndarray, lam: np.ndarray, accept: float, max_steps: int):
+    """Batched Newton corrector on the eigenpair equations ``T x^{k-1} = lam
+    x``, ``x.x = 1``, from the columns of ``X`` with estimates ``lam``.
+
+    A column stops when its residual is at most ``accept * max(1, |lam|)``
+    (it converged), when its step is not finite or longer than 5, or after
+    ``max_steps`` steps; a singular batch is solved by least squares.
+    Returns the final ``X`` and ``lam``, each column's residual at its last
+    check, and the converged columns in the order they converged.  Newton
+    converges to any regular stationary pair near which a start lands,
+    including saddle-type pairs that no shifted power iteration attracts to.
+    """
+    n = sym.dim
+    X = X.copy()
+    lam = np.array(lam, dtype=np.float64)
+    res = np.full(X.shape[1], np.inf)
+    idx = np.arange(X.shape[1])
+    done = [idx[:0]]
+    for _ in range(max_steps):
+        if idx.size == 0:
+            break
+        xa, la = X[:, idx], lam[idx]
+        f_eig = sym(xa) - la * xa
+        f_norm = (np.einsum("ij,ij->j", xa, xa) - 1.0) / 2.0
+        res[idx] = np.sqrt(np.einsum("ij,ij->j", f_eig, f_eig) + f_norm**2)
+        conv = res[idx] <= accept * np.maximum(1.0, np.abs(la))
+        done.append(idx[conv])
+        idx = idx[~conv]
+        if idx.size == 0:
+            break
+        xa, la = X[:, idx], lam[idx]
+        f_eig, f_norm = f_eig[:, ~conv], f_norm[~conv]
+        r = idx.size
+        jac = np.zeros((r, n + 1, n + 1))
+        jac[:, :n, :n] = sym.jacobian_blocks(xa)
+        jac[:, :n, :n] -= la[:, None, None] * np.eye(n)
+        jac[:, :n, n] = -xa.T
+        jac[:, n, :n] = xa.T
+        rhs = np.concatenate([-f_eig, -f_norm[None, :]], axis=0).T
+        try:
+            steps = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            steps = np.empty((r, n + 1))
+            for j in range(r):
+                steps[j] = np.linalg.lstsq(jac[j], rhs[j], rcond=None)[0]
+        diverged = ~np.isfinite(steps).all(axis=1)
+        diverged |= np.linalg.norm(steps[:, :n], axis=1) > 5.0
+        steps[diverged] = 0.0
+        X[:, idx] = xa + steps[:, :n].T
+        lam[idx] = la + steps[:, n]
+        idx = idx[~diverged]
+    return X, lam, res, np.concatenate(done)
+
+
+def former_distinct_candidates(candidates, limit):
+    """Prune near-duplicate (eigenvalue, vector) pairs, largest |value| first.
+
+    Degenerate dominant eigenvalues can carry several distinct eigenvectors,
+    so duplicates are detected on the pair, not the eigenvalue alone.
+    """
+    pool = []
+    for lam, x in sorted(candidates, key=lambda c: -abs(c[0])):
+        dup = False
+        for lam2, x2 in pool:
+            if abs(lam - lam2) < POOL_LAM_WIDTH and min(
+                np.linalg.norm(x - x2), np.linalg.norm(x + x2)
+            ) < POOL_VEC_WIDTH:
+                dup = True
+                break
+        if not dup:
+            pool.append((lam, x))
+            if len(pool) >= limit:
+                break
+    return pool
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == np.float64 and b.dtype == np.float64:
+        a, b = a.view(np.int64), b.view(np.int64)
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+def low_rank_symmetric(rng, dim, order):
+    """A symmetric tensor as a short sum of signed rank-1 terms, cheap at
+    every order (a full symmetrization costs ``order!`` passes)."""
+    T = np.zeros((dim,) * order)
+    for _ in range(3):
+        v = rng.standard_normal(dim)
+        T += rng.standard_normal() * functools.reduce(np.multiply.outer, [v] * order)
+    return T
+
+
+@st.composite
+def solver_cases(draw):
+    """A tensor of dimension 1-5 and order 2-6 (zero in some cases) and a
+    batch of starts, some of whose entries are ``0.0`` or ``-0.0``."""
+    dim, order = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = np.zeros((dim,) * order) if draw(st.booleans()) else low_rank_symmetric(rng, dim, order)
+    width = draw(st.integers(1, 40))
+    X0 = rng.standard_normal((dim, width))
+    X0 /= np.linalg.norm(X0, axis=0)
+    zeros = rng.random(X0.shape) < draw(st.sampled_from([0.0, 0.25, 0.6]))
+    X0[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    return T, X0, rng
+
+
+class TestFormerLoops:
+    """The rewritten loops give the former loops' results bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=solver_cases(), signs=st.sampled_from(["plus", "minus", "mixed"]),
+           tol=st.sampled_from([1e-10, 1e-6, 0.0]), max_iter=st.integers(1, 60))
+    def test_power_batch(self, case, signs, tol, max_iter):
+        T, X0, rng = case
+        width = X0.shape[1]
+        sign = {"plus": np.ones(width), "minus": -np.ones(width),
+                "mixed": rng.choice([1.0, -1.0], width)}[signs]
+        shift = rng.choice([0.0, 0.5, 1.0, 3.0], width)
+        sym = SymMatvec(T)
+        got = _power_batch(sym, X0, sign, shift, tol, max_iter)
+        want = former_power_batch(sym, X0, sign, shift, tol, max_iter)
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=solver_cases(), accept=st.sampled_from([1e-13, 1e-10, 1e-6]),
+           max_steps=st.integers(0, 30))
+    def test_newton(self, case, accept, max_steps):
+        T, X0, rng = case
+        sym = SymMatvec(T)
+        X0 = X0 * rng.choice([0.5, 1.0, 2.0], X0.shape[1])  # starts off the sphere
+        lam0 = rng.standard_normal(X0.shape[1])
+        # a wild step may overflow on both sides alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _newton(sym, X0, lam0, accept, max_steps)
+            want = former_newton(sym, X0, lam0, accept, max_steps)
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_product_dimension(self, rng, order):
+        # dimension 9, the largest product of the benchmark grid, is past the
+        # 8 elements from which numpy sums a contiguous run in eight partial
+        # sums, so a reduction that changed layout would change bits here
+        sym = SymMatvec(low_rank_symmetric(rng, 9, order))
+        X0 = rng.standard_normal((9, 40))
+        X0 /= np.linalg.norm(X0, axis=0)
+        sign = np.where(np.arange(40) % 4 < 2, 1.0, -1.0)
+        shift = np.where(np.arange(40) % 2, 4.0, 2.0)
+        got = _power_batch(sym, X0, sign, shift, 1e-10, 200)
+        for a, b in zip(got, former_power_batch(sym, X0, sign, shift, 1e-10, 200)):
+            assert same_bits(a, b)
+        lam0 = np.einsum("ij,ij->j", X0, sym(X0))
+        got = _newton(sym, X0, lam0, 1e-12, 60)
+        for a, b in zip(got, former_newton(sym, X0, lam0, 1e-12, 60)):
+            assert same_bits(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), bases=st.integers(1, 4),
+           count=st.integers(0, 60), limit=st.integers(1, 30))
+    def test_distinct_candidates(self, seed, dim, bases, count, limit):
+        # near-copies of a few pairs, up to sign, at distances on both sides
+        # of the pool widths; some bases share an eigenvalue
+        rng = np.random.default_rng(seed)
+        base_x = rng.standard_normal((bases, dim))
+        base_x /= np.linalg.norm(base_x, axis=1)[:, None]
+        base_lam = rng.choice([1.0, -1.0, 2.5], bases) + rng.choice([0.0, 1e-3], bases)
+        candidates = []
+        for _ in range(count):
+            b = int(rng.integers(bases))
+            vec_off = rng.choice([0.0, 1e-6, 0.5e-4, 1e-4, 2e-4, 1e-2])
+            lam_off = rng.choice([0.0, 1e-8, 0.5e-6, 1e-6, 2e-6])
+            x = rng.choice([1.0, -1.0]) * base_x[b] + vec_off * rng.standard_normal(dim)
+            candidates.append((float(base_lam[b] + lam_off * rng.standard_normal()), x))
+        got = _distinct_candidates(candidates, limit)
+        want = former_distinct_candidates(candidates, limit)
+        assert len(got) == len(want)
+        for (lam, x), (lam2, x2) in zip(got, want):
+            assert lam == lam2 and x is x2
+
+
+class TestShapeTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    @pytest.mark.parametrize("degree", range(6))
+    def test_cached_tables_are_read_only_and_fresh(self, n, degree):
+        parents, coords, count = _monomial_tables(n, degree)
+        fresh = _monomial_tables.__wrapped__(n, degree)
+        assert _monomial_tables(n, degree)[0] is parents
+        assert count == fresh[2] == math.comb(n + degree - 1, degree)
+        assert len(parents) == len(coords) == len(fresh[0]) == max(degree - 1, 0)
+        for got, want in zip(parents + coords + _tail_buckets(n, degree),
+                             fresh[0] + fresh[1] + _tail_buckets.__wrapped__(n, degree)):
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1
+
+    def test_operators_share_tables_not_workspaces(self, rng):
+        a = SymMatvec(random_symmetric_tensor(3, 4, rng))
+        b = SymMatvec(random_symmetric_tensor(3, 4, rng))
+        X = rng.standard_normal((3, 5))
+        a(X), b(X)
+        assert a._plan.parents is b._plan.parents
+        assert a._plan._work is not b._plan._work
+
+
+class TestEigenStats:
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_counters(self, rng, monkeypatch, order):
+        # every power step contracts each active column once, so the steps
+        # of all configs add up to the columns the operator saw in the batch
+        seen = []
+        batch = eigen._power_batch
+
+        def spy(sym, *args):
+            return batch(lambda X: seen.append(X.shape[1]) or sym(X), *args)
+
+        monkeypatch.setattr(eigen, "_power_batch", spy)
+        stats = EigenStats()
+        dominant_eigen(random_symmetric_tensor(3, order, rng), restarts=400, seed=3, stats=stats)
+        configs = 2 if order % 2 else 4
+        assert len(stats.power_steps) == len(stats.power_converged) == configs
+        assert sum(stats.power_steps) == sum(seen)
+        per = 300 // configs  # the 300 power starts go round the configs
+        for steps, converged in zip(stats.power_steps, stats.power_converged):
+            assert 0 < converged <= per and per <= steps <= per * eigen.POWER_MAX_ITER
+        assert 0 < stats.newton_converged <= 100
+        assert 0 < stats.pool <= 28
+
+    def test_report_carries_three_solves(self):
+        d2 = diagonal_tensor(2)
+        report = verify_decoupling(d2, d2, restarts=40, seed=0)
+        assert sorted(report.solver) == ["a", "b", "kron"]
+        assert all(isinstance(s, EigenStats) for s in report.solver.values())
+        for stats in report.solver.values():
+            assert stats.newton_converged > 0 and stats.pool > 0
+            assert len(stats.power_steps) == 2 and sum(stats.power_converged) > 0
 
 
 class TestDominant:

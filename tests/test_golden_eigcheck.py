@@ -10,6 +10,9 @@ eigenvalues must agree to a relative ``1e-12`` and the gaps to an absolute
 different number of columns, so exact float equality is not promised.  The
 batched Newton polish that replaced the serial one moved such last bits
 (by at most 1.5e-15 relative on a lambda) and kept this reference as it was.
+The ``solver`` block of each trial (the solver counters of ``eigen.EigenStats``)
+was added to the reference later, with no other value changed; its counts are
+integers and must be equal.
 
 A change that is meant to move results regenerates the reference with
 ``PYTHONPATH=src python tests/test_golden_eigcheck.py`` and says why.
