@@ -187,7 +187,7 @@ def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed
     method_seconds = time.perf_counter() - t0
     matching = output.best_matching
     refine_seconds = knn_seconds = 0.0
-    resolved_k = None
+    resolved_k = knn_widths = None
     counters = dict.fromkeys(f.name for f in fields(RefineStats))
     if refine == "local-search":
         factors = _embedding_factors(output)
@@ -198,7 +198,7 @@ def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed
             matching, graph_a, graph_b, tensor_a, tensor_b, factors, ropts, stats=stats
         )
         refine_seconds = time.perf_counter() - t0
-        knn_seconds = stats.knn_seconds
+        knn_seconds, knn_widths = stats.knn_seconds, stats.knn_widths
         counters = asdict(stats)
     final = {
         "best_index": output.best_index,
@@ -218,8 +218,9 @@ def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed
         "motif_order": k,
         "refine": {
             "kind": refine,
-            "k_neighbors": args.knn,
+            "k_neighbors": ropts.k_neighbors,
             "resolved_k": resolved_k,
+            "knn_widths": knn_widths,
             "max_sweeps": args.sweeps,
             **counters,
         },

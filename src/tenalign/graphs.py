@@ -58,18 +58,13 @@ class Graph:
     def from_edges(cls, n, raw_edges):
         """Normalize an edge iterable: sort endpoints, drop self-loops with a
         warning, dedupe."""
-        cleaned = set()
-        dropped = 0
-        for u, v in raw_edges:
-            u, v = int(u), int(v)
-            if u == v:
-                dropped += 1
-                continue
-            cleaned.add((min(u, v), max(u, v)))
-        if dropped:
-            warnings.warn(f"dropped {dropped} self-loop(s)", stacklevel=2)
-        edges = np.array(sorted(cleaned), dtype=np.int64).reshape(-1, 2)
-        return cls(n, edges)
+        if not isinstance(raw_edges, np.ndarray):
+            raw_edges = list(raw_edges)
+        edges = np.sort(np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2), axis=1)
+        loops = edges[:, 0] == edges[:, 1]
+        if loops.any():
+            warnings.warn(f"dropped {loops.sum()} self-loop(s)", stacklevel=2)
+        return cls(n, np.unique(edges[~loops], axis=0))
 
     @property
     def num_edges(self) -> int:
@@ -91,65 +86,81 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
-def parse_ints(tokens, where: str) -> list:
-    """Integers from text tokens; anything else raises naming ``where``."""
+def _read_pairs(path, headers: dict):
+    """The 1-based id pairs and the named headers of a text file, in one pass.
+
+    Blank lines are skipped.  A line starting with ``#`` is a comment unless
+    it reads ``# key: value`` with ``key``, in any case, a key of ``headers``;
+    ``headers[key]`` parses ``value``, and each key may appear once.  Other
+    lines hold two integer ids of at least 1 and maybe further columns.
+    Reading stops at the first line breaking these rules.  Returns the
+    0-based ``(m, 2)`` ids of the pairs before it, a function giving each
+    row's ``file:line``, per header its value, ``file:line`` and the count of
+    rows before it, and the :class:`InputFormatError` naming the bad line (or
+    None), which the caller raises after checking its own rules on the rows,
+    so that its error names the first bad line of the file.
+    """
     try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise InputFormatError(
-            f"{where}: expected integers, got {' '.join(tokens)!r}"
-        ) from None
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    ids, lines, found, fault = [], [], {}, None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        try:
+            if line.startswith("#"):
+                key, colon, value = line[1:].strip().partition(":")
+                key = key.lower()
+                if colon and key in headers:
+                    if key in found:
+                        raise ValueError(f"repeated '# {key}:' header")
+                    found[key] = (headers[key](value), f"{path}:{lineno}", len(lines))
+            elif line:
+                u, v = map(int, line.split()[:2])
+                if u < 1 or v < 1:
+                    raise ValueError("ids are 1-based")
+                ids += (u - 1, v - 1)
+                lines.append(lineno)
+        except ValueError as exc:
+            fault = InputFormatError(f"{path}:{lineno}: malformed line {line!r}: {exc}")
+            break
+    pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    return pairs, lambda row: f"{path}:{lines[row]}", found, fault
 
 
 def load_edge_list(path) -> Graph:
-    """Read a whitespace-separated 1-based edge list.
+    """Read a whitespace-separated 1-based edge list (see :func:`_read_pairs`).
 
-    Lines starting with ``#`` are comments; a ``# vertices: N`` comment pins
-    the vertex count (needed to round-trip graphs whose largest-id vertices
-    are isolated).  Duplicate and reversed edges merge; self-loops drop with
-    a warning.  Non-integer ids, ids below 1 and ids above the vertex count
-    raise :class:`InputFormatError` naming the file and line.
+    A ``# vertices: N`` header pins the vertex count (needed to round-trip
+    graphs whose largest-id vertices are isolated); an id above it raises
+    :class:`InputFormatError` naming the line of the largest id.  Duplicate
+    and reversed edges merge; self-loops drop with a warning.
     """
-    raw = []
-    n = None
-    max_id = max_line = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.lower().startswith("vertices:"):
-                    (n,) = parse_ints([body.split(":", 1)[1].strip()], where)
-                    if n < 0:
-                        raise InputFormatError(f"{where}: negative vertex count {n}")
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise InputFormatError(f"{where}: malformed edge line {line!r}")
-            u, v = parse_ints(parts[:2], where)
-            if u < 1 or v < 1:
-                raise InputFormatError(f"{where}: vertex ids are 1-based, got {line!r}")
-            raw.append((u - 1, v - 1))
-            if max(u, v) > max_id:
-                max_id, max_line = max(u, v), lineno
-    if n is None:
-        n = max_id
-    elif max_id > n:
-        raise InputFormatError(
-            f"{path}:{max_line}: vertex id {max_id} exceeds the vertex count {n}"
-        )
-    return Graph.from_edges(n, raw)
+    pairs, where, headers, fault = _read_pairs(path, {"vertices": int})
+    top = int(pairs.max(initial=-1)) + 1
+    n, at, _ = headers.get("vertices", (top, None, 0))
+    if n < 0:
+        raise InputFormatError(f"{at}: negative vertex count {n}")
+    if fault:
+        raise fault
+    if top > n:
+        row = int(np.argmax(pairs.max(axis=1)))
+        raise InputFormatError(f"{where(row)}: vertex id {top} exceeds the vertex count {n}")
+    return Graph.from_edges(n, pairs)
+
+
+def _write_pairs(path, headers: dict, pairs) -> None:
+    """Write what :func:`_read_pairs` reads: a ``# key: value`` line per
+    header, then the 0-based ``pairs`` as 1-based rows."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {key}: {value}\n" for key, value in headers.items())
+        fh.writelines(f"{u + 1} {v + 1}\n" for u, v in pairs)
 
 
 def save_edge_list(graph: Graph, path) -> None:
-    """Write a 1-based edge list with a vertex-count comment."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# vertices: {graph.n}\n")
-        for u, v in graph.edges:
-            fh.write(f"{u + 1} {v + 1}\n")
+    """Write a 1-based edge list with a vertex-count header."""
+    _write_pairs(path, {"vertices": graph.n}, graph.edges.tolist())
 
 
 class SortedCodes:
@@ -227,6 +238,13 @@ def _distinct(code: np.ndarray) -> np.ndarray:
     return code[keep]
 
 
+def _spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The indices ``start[t] .. start[t] + count[t] - 1``, for each ``t`` in turn."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(start - ends + count, count)
+
+
 def enumerate_cliques(graph: Graph, k: int) -> np.ndarray:
     """All k-vertex complete subgraphs, each once as a sorted tuple.
 
@@ -249,9 +267,8 @@ def enumerate_cliques(graph: Graph, k: int) -> np.ndarray:
     for _ in range(k - 2):
         last = cliques[:, -1]
         counts = indptr[last + 1] - indptr[last]
-        ends = np.cumsum(counts)
         rows = np.repeat(np.arange(cliques.shape[0]), counts)
-        new = edges[np.arange(counts.sum()) + np.repeat(indptr[last] - ends + counts, counts), 1]
+        new = edges[_spans(indptr[last], counts), 1]
         for col in range(cliques.shape[1] - 1):
             keep = adjacent.contains((cliques[rows, col], new))
             rows, new = rows[keep], new[keep]

@@ -17,7 +17,7 @@ import scipy
 
 from . import _blas
 from .errors import InputFormatError
-from .graphs import parse_ints
+from .graphs import _read_pairs, _write_pairs
 from .matching import Matching
 
 __all__ = [
@@ -118,63 +118,51 @@ def records_equal_modulo_timing(a, b) -> bool:
 
 def save_matching(matching: Matching, path) -> None:
     """Two-column 1-based vertex pairs with weight and shape headers."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# weight: {matching.weight:.17g}\n")
-        fh.write(f"# shape: {matching.n_rows} {matching.n_cols}\n")
-        for i, j in matching.pairs:
-            fh.write(f"{i + 1} {j + 1}\n")
+    shape = f"{matching.n_rows} {matching.n_cols}"
+    _write_pairs(path, {"weight": f"{matching.weight:.17g}", "shape": shape}, matching.pairs)
 
 
 def load_matching(path) -> Matching:
     """Read a :func:`save_matching` file, whose ``# shape:`` header precedes the
     pairs; a bad line raises :class:`InputFormatError` naming it."""
-    weight = 0.0
-    shape = None
-    pairs, rows, cols = [], set(), set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            where = f"{path}:{lineno}"
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("weight:"):
-                    try:
-                        weight = float(body.split(":", 1)[1])
-                    except ValueError:
-                        raise InputFormatError(f"{where}: bad weight {line!r}") from None
-                elif body.startswith("shape:"):
-                    shape = _pair(body.split(":", 1)[1].split(), where, line)
-                    if min(shape) < 0:
-                        raise InputFormatError(f"{where}: negative shape {line!r}")
-            elif line:
-                if shape is None:
-                    raise InputFormatError(f"{where}: pair before the '# shape:' header")
-                i, j = _pair(line.split(), where, line)
-                if not (1 <= i <= shape[0] and 1 <= j <= shape[1]):
-                    raise InputFormatError(
-                        f"{where}: ids are 1-based and within the shape header, got {line!r}"
-                    )
-                if i in rows or j in cols:
-                    raise InputFormatError(f"{where}: vertex matched twice in {line!r}")
-                rows.add(i)
-                cols.add(j)
-                pairs.append((i - 1, j - 1))
-    if shape is None:
+    pairs, where, headers, fault = _read_pairs(path, {"weight": float, "shape": _shape})
+    # with no shape header, every pair comes before it
+    shape, _, before = headers.get("shape", ((0, 0), None, len(pairs)))
+    if before:
+        raise InputFormatError(f"{where(0)}: pair before the '# shape:' header")
+    outside = np.flatnonzero((pairs >= shape).any(axis=1))
+    out = int(outside[0]) if outside.size else len(pairs)
+    bad = min(out, _first_repeat(pairs[:, 0]), _first_repeat(pairs[:, 1]))
+    if bad < len(pairs):
+        rule = "ids are 1-based and within the shape header" if bad == out else "vertex matched twice"
+        i, j = pairs[bad] + 1
+        raise InputFormatError(f"{where(bad)}: {rule}, got '{i} {j}'")
+    if fault:
+        raise fault
+    if "shape" not in headers:
         raise InputFormatError(f"{path}: no '# shape:' header")
-    return Matching(*shape, pairs, weight)
+    return Matching(*shape, pairs, headers.get("weight", (0.0,))[0])
 
 
-def _pair(parts, where, line):
-    if len(parts) < 2:
-        raise InputFormatError(f"{where}: expected two integers, got {line!r}")
-    return parse_ints(parts[:2], where)
+def _shape(text: str) -> tuple:
+    """The ``m n`` of a ``# shape:`` header; a ValueError unless it holds two
+    nonnegative integers."""
+    rows, cols = (int(t) for t in text.split()[:2])
+    if min(rows, cols) < 0:
+        raise ValueError(f"negative shape {rows} {cols}")
+    return rows, cols
+
+
+def _first_repeat(ids: np.ndarray) -> int:
+    """Index of the first entry of ``ids`` equal to an earlier one, or ``ids.size``."""
+    order = np.argsort(ids, kind="stable")
+    later = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    return int(later.min(initial=ids.size))
 
 
 def save_truth(truth: np.ndarray, path) -> None:
     """Ground-truth permutation as 1-based ``A-id B-id`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j in enumerate(np.asarray(truth).tolist()):
-            fh.write(f"{i + 1} {j + 1}\n")
+    _write_pairs(path, {}, enumerate(np.asarray(truth).tolist()))
 
 
 def load_truth(path) -> np.ndarray:
@@ -184,26 +172,19 @@ def load_truth(path) -> np.ndarray:
     and there must be at least one row; violations raise
     :class:`InputFormatError`.
     """
-    mapping = {}
-    seen_b = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}:{lineno}"
-            a, b = _pair(line.split(), where, line)
-            if a < 1 or b < 1:
-                raise InputFormatError(f"{where}: ids are 1-based, got {line!r}")
-            if a - 1 in mapping:
-                raise InputFormatError(f"{where}: A-id {a} repeated")
-            if b - 1 in seen_b:
-                raise InputFormatError(f"{where}: B-id {b} repeated")
-            mapping[a - 1] = b - 1
-            seen_b.add(b - 1)
-    if not mapping:
+    pairs, where, _, fault = _read_pairs(path, {})
+    a, b = pairs.T
+    rep_a, rep_b = _first_repeat(a), _first_repeat(b)
+    if rep_a < len(a) and rep_a <= rep_b:
+        raise InputFormatError(f"{where(rep_a)}: A-id {a[rep_a] + 1} repeated")
+    if rep_b < len(b):
+        raise InputFormatError(f"{where(rep_b)}: B-id {b[rep_b] + 1} repeated")
+    if fault:
+        raise fault
+    if not len(a):
         raise InputFormatError(f"{path}: truth file holds no A-id B-id rows")
-    size = max(mapping) + 1
-    if sorted(mapping) != list(range(size)):
-        raise InputFormatError(f"{path}: truth file must cover ids 1..{size}")
-    return np.array([mapping[i] for i in range(size)], dtype=np.int64)
+    if a.max() + 1 != len(a):
+        raise InputFormatError(f"{path}: truth file must cover ids 1..{a.max() + 1}")
+    truth = np.empty(len(a), dtype=np.int64)
+    truth[a] = b
+    return truth

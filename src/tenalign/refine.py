@@ -31,7 +31,7 @@ import numpy as np
 
 from .align import FactorPair
 from .errors import NumericalFailureError
-from .graphs import Graph, RowCodes, nearest_rows
+from .graphs import Graph, RowCodes, _spans, nearest_rows
 from .matching import Matching
 from .tensors import MotifTensor
 
@@ -67,9 +67,12 @@ class RefineStats:
     ``swaps_per_sweep`` has one entry per sweep, and ``converged`` says
     whether the last sweep accepted no swap (so the search stopped on its
     own rather than at ``max_sweeps``).  The counters start at zero and are
-    no constructor arguments.  ``knn_seconds``, the time spent
-    on both kNN tables and the candidate lists, is a plain attribute rather
-    than a field, so equality and ``asdict`` see only the counters.
+    no constructor arguments.  ``knn_widths``, the widths of the A and the
+    B kNN table (the resolved ``k`` capped at each graph's vertex count less
+    one; 0 means no table, and None that an empty matching returned at
+    once), and ``knn_seconds``, the time spent on both tables and the
+    candidate lists, are plain attributes rather than fields, so equality
+    and ``asdict`` see only the counters.
     """
 
     sweeps: int = field(default=0, init=False)
@@ -77,6 +80,7 @@ class RefineStats:
     swaps_accepted: int = field(default=0, init=False)
     converged: bool = field(default=False, init=False)
     swaps_per_sweep: list = field(default_factory=list, init=False)
+    knn_widths = None
     knn_seconds = 0.0
 
 
@@ -236,13 +240,6 @@ def _sort_rows(cols: list) -> list:
     return cols
 
 
-def _spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The indices ``start[t] .. start[t] + count[t] - 1``, for each ``t`` in turn."""
-    ends = np.cumsum(count)
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total) + np.repeat(start - ends + count, count)
-
-
 class _SwapState:
     """The matching as arrays, with the A hyperedges and edges it aligns."""
 
@@ -330,6 +327,7 @@ def local_search(
     t0 = time.perf_counter()
     k_a = min(opts.resolve_k(factors.rank), graph_a.n - 1)
     k_b = min(opts.resolve_k(factors.rank), graph_b.n - 1)
+    stats.knn_widths = [k_a, k_b]
     knn_a = nearest_rows(factors.u, k_a) if k_a >= 1 else None
     knn_b = nearest_rows(factors.v, k_b) if k_b >= 1 else None
     cands_a = _candidate_lists(knn_a, graph_a.adjacency)

@@ -93,6 +93,64 @@ class TestRoundTrip:
         assert loaded == matching
 
 
+# lines every loader must skip or ignore wherever they stand
+COMMENTS = ["#", "# note", "#vertices", "# weights: 3", "# shape 3 3", "   # indented: 1"]
+BLANKS = ["", "   ", "\t"]
+EXTRA_COLUMNS = [" 7", " 1.5", "\tx", " # tail", " 1 2 3"]
+
+
+def interleave(data, text):
+    """``text`` with comment and blank lines drawn in between its lines and a
+    third column drawn onto some of its data lines."""
+    noise = st.lists(st.sampled_from(COMMENTS + BLANKS), max_size=2)
+    lines = data.draw(noise)
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            line += data.draw(st.sampled_from([""] + EXTRA_COLUMNS))
+        lines += [line, *data.draw(noise)]
+    return "\n".join(lines) + "\n"
+
+
+class TestSharedLineRules:
+    @PROPERTY
+    @given(data=st.data(), kind=st.sampled_from(["edge list", "truth", "matching"]))
+    def test_comments_blanks_and_extra_columns(self, data, kind):
+        if kind == "edge list":
+            value, save, load = data.draw(graphs()), save_edge_list, load_edge_list
+        elif kind == "truth":
+            n = data.draw(st.integers(1, 12))
+            value = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+            save, load = save_truth, load_truth
+        else:
+            n_rows, n_cols, pairs = data.draw(partial_injections())
+            value = Matching(n_rows, n_cols, pairs, data.draw(st.floats(allow_nan=False)))
+            save, load = save_matching, load_matching
+        with text_file() as path:
+            save(value, path)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(interleave(data, text))
+            loaded = load(path)
+        if kind == "edge list":
+            assert loaded.n == value.n and np.array_equal(loaded.edges, value.edges)
+        elif kind == "truth":
+            assert np.array_equal(loaded, value)
+        else:
+            assert loaded == value
+
+
+    @pytest.mark.parametrize("loader", [load_edge_list, load_truth, load_matching])
+    def test_undecodable_file_named(self, loader):
+        # formerly a bare UnicodeDecodeError that named no file
+        with text_file() as path:
+            with open(path, "wb") as fh:
+                fh.write(b"# shape: 2 2\n1 2\n\xff\xfe 1\n")
+            with pytest.raises(InputFormatError, match="not UTF-8 text") as info:
+                loader(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
 class TestEdgeListErrors:
     @PROPERTY
     @given(bad=st.sampled_from(["1.5", "x", "2e1", "", "0x3"]), line=st.integers(1, 4))
@@ -116,6 +174,15 @@ class TestEdgeListErrors:
     def test_zero_id_names_line(self):
         raises_at(load_edge_list, "1 2\n\n0 1\n", ":3:", "1-based")
 
+    @pytest.mark.parametrize("second", ["# vertices: 4", "# VERTICES: 4", "# Vertices: 9"])
+    def test_repeated_vertex_header(self, second):
+        # formerly the last header won
+        raises_at(load_edge_list, f"# vertices: 4\n1 2\n{second}\n", ":3:", "repeated")
+
+    def test_header_key_in_any_case(self):
+        with text_file("# VERTICES: 5\n1 2\n") as path:
+            assert load_edge_list(path).n == 5
+
 
 class TestTruthErrors:
     def test_repeated_a_id(self):
@@ -135,6 +202,10 @@ class TestTruthErrors:
 
     def test_gap_in_a_ids(self):
         raises_at(load_truth, "1 1\n3 2\n", ":", "cover")
+
+    def test_first_bad_line_named(self):
+        raises_at(load_truth, "1 1\n2 x\n1 2\n", ":2:", "malformed")
+        raises_at(load_truth, "1 1\n2 1\n3 x\n", ":2:", "B-id 1 repeated")
 
     @pytest.mark.parametrize("content", ["", "# truth\n\n# none\n"])
     def test_no_rows(self, content):
@@ -177,4 +248,22 @@ class TestMatchingErrors:
 
     def test_negative_shape(self):
         raises_at(load_matching, "# shape: -1 3\n", ":1:", "negative shape")
+
+    @pytest.mark.parametrize(
+        "content, key",
+        [
+            # formerly a bare ValueError from Matching, naming neither file nor line
+            ("# weight: 1\n# shape: 3 3\n3 3\n# shape: 1 1\n", "shape"),
+            # formerly the last one won
+            ("# weight: 1\n# shape: 2 2\n1 1\n# weight: 1\n", "weight"),
+            ("# Weight: 1\n# shape: 2 2\n1 1\n# WEIGHT: 2\n", "weight"),
+        ],
+    )
+    def test_repeated_header(self, content, key):
+        raises_at(load_matching, content, ":4:", f"repeated '# {key}:' header")
+
+    def test_first_bad_line_named(self):
+        # a pair matched twice comes before a malformed line and a repeated header
+        content = "# shape: 3 3\n1 1\n2 1\nx y\n# shape: 3 3\n"
+        raises_at(load_matching, content, ":3:", "matched twice")
 

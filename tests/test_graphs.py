@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -80,6 +81,24 @@ class TestGraph:
         with pytest.warns(UserWarning, match="self-loop"):
             g = Graph.from_edges(3, [(0, 0), (0, 1)])
         assert g.edges.tolist() == [[0, 1]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_from_edges_matches_set_normalization(self, n, data):
+        # the former normalization, kept as the oracle: a set of sorted pairs
+        raw = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        loops = sum(u == v for u, v in raw)
+        want = sorted({(min(u, v), max(u, v)) for u, v in raw if u != v})
+        for edges in (raw, np.array(raw, dtype=np.int64).reshape(-1, 2), iter(raw)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                g = Graph.from_edges(n, edges)
+            assert g.edges.dtype == np.int64 and g.edges.shape == (len(want), 2)
+            assert list(map(tuple, g.edges.tolist())) == want
+            assert [str(w.message) for w in caught] == (
+                [f"dropped {loops} self-loop(s)"] if loops else []
+            )
+            assert all(w.filename == __file__ for w in caught)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

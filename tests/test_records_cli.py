@@ -470,6 +470,24 @@ class TestSynthCommand:
         assert record["kind"] == "synth-trial"
         assert record["final"]["accuracy"] is not None
 
+    @pytest.mark.parametrize(
+        "knn, recorded, resolved, widths", [("auto", "auto", 32, [19, 19]), ("5", 5, 5, [5, 5])]
+    )
+    def test_refine_block_records_the_knn_widths(self, tmp_path, knn, recorded, resolved, widths):
+        # auto resolves to twice the rank, 32 here, but a table of n = 20
+        # rows holds at most 19 neighbours of a row
+        out = str(tmp_path / "sweep")
+        argv = ["synth", "--n", "20", "--model", "er", "--seed", "3", "--out", out,
+                "--run", "lambda-tame+local-search", "--knn", knn]
+        assert main(argv) == 0
+        (record,) = load_records(os.path.join(out, "records.jsonl"))
+        refine = record["refine"]
+        assert (refine["k_neighbors"], refine["resolved_k"]) == (recorded, resolved)
+        assert refine["knn_widths"] == widths
+        assert main([*argv[:-4], "--run", "lambda-tame", "--out", out + "-plain"]) == 0
+        (record,) = load_records(os.path.join(out + "-plain", "records.jsonl"))
+        assert record["refine"]["knn_widths"] is None
+
     def test_negative_trials_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "sweep")
         code = main(
