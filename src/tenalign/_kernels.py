@@ -1,17 +1,18 @@
 """Hot contraction kernels in vectorized numpy.
 
-Two operations dominate alignment runtime: the pairwise implicit product
-contraction (quadratic in the motif counts) and the batched multi-vector
-contraction used to expand low-rank factor columns.  Each has one
-implementation here, deterministic run to run; :func:`ttv_tuples` is the
-only multi-vector contraction loop in the package.  Both work in blocks
-bounded by a module constant (``IMPLICIT_CHUNK``, ``TUPLE_CHUNK``).  The
-implicit contraction scatters with a flat ``np.add.at`` per chunk of A rows
-and slot pair, so the order of its additions, and with it the last bits of
-its result, follows the chunk size that ``IMPLICIT_CHUNK`` sets.
-:func:`ttv_tuples` scatters each block with one sparse incidence product,
-which adds in the same order, so its result does not depend on
-``TUPLE_CHUNK``.
+Two operations on motif tensors dominate alignment runtime: the pairwise
+implicit product contraction of two tensors (quadratic in the motif counts)
+and the batched multi-vector contraction of one tensor, used to expand
+low-rank factor columns.  Each has one implementation here, deterministic run
+to run; :func:`ttv_tuples` is the only multi-vector contraction loop in the
+package.  Both take the :class:`~tenalign.tensors.MotifTensor` operands they
+contract and work in blocks bounded by a module constant (``IMPLICIT_CHUNK``,
+``TUPLE_CHUNK``).  The implicit contraction scatters with a flat
+``np.add.at`` per chunk of A rows and slot pair, so the order of its
+additions, and with it the last bits of its result, follows the chunk size
+that ``IMPLICIT_CHUNK`` sets.  :func:`ttv_tuples` scatters each block with one
+product by the tensor's cached ``scatter`` matrix, which adds in the same
+order, so its result does not depend on ``TUPLE_CHUNK``.
 """
 
 from __future__ import annotations
@@ -49,17 +50,22 @@ def _tables(k: int):
     return perms, rest
 
 
-def implicit_pair_contract(EA, wA, EB, wB, X, m, n):
+def implicit_pair_contract(tensor_a, tensor_b, X):
     """Pairwise hyperedge contraction: the implicit product-tensor apply.
 
-    ``Y[i, i'] = sum over hyperedge pairs (e in A containing i, f in B
-    containing i') of wA(e) * wB(f) * (k-1)! * perm(X[e \\ i, f \\ i'])``,
-    which equals the order-(k-1) contraction of the product tensor against
-    ``X`` without forming it.  Work is O(nnz_A * nnz_B * (k!)^2 / k).
+    For motif tensors ``A`` (dimension ``m``) and ``B`` (dimension ``n``) of
+    one order ``k`` and an ``(m, n)`` array ``X``, ``Y[i, i'] = sum over
+    hyperedge pairs (e in A containing i, f in B containing i') of
+    wA(e) * wB(f) * (k-1)! * perm(X[e \\ i, f \\ i'])``, which equals the
+    order-(k-1) contraction of the product tensor against ``X`` without
+    forming it.  Work is O(nnz_A * nnz_B * (k!)^2 / k).
     """
+    EA, wA = tensor_a.hyperedges, tensor_a.weights
+    EB, wB = tensor_b.hyperedges, tensor_b.weights
     nnz_a, k = EA.shape
     nnz_b = EB.shape[0]
-    Y = np.zeros((m, n))
+    n = tensor_b.dim
+    Y = np.zeros((tensor_a.dim, n))
     if nnz_a == 0 or nnz_b == 0:
         return Y
     perms, rest = _tables(k)
@@ -98,28 +104,11 @@ def implicit_pair_contract(EA, wA, EB, wB, X, m, n):
     return Y
 
 
-def _incidence(E, dim):
-    """CSR ``(dim, k * nnz)`` 0/1 matrix; column ``a * nnz + e`` is the
-    vertex in slot ``a`` of hyperedge ``e``.
-
-    Each row lists its columns in ascending order, so a product with it adds
-    slot by slot and, within a slot, hyperedge by hyperedge.
-    """
-    # imported here, not at the top: scipy.sparse takes ~0.25 s to load
-    from scipy.sparse import csr_matrix
-
-    rows = E.T.reshape(-1)
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    cols = np.argsort(rows, kind="stable")
-    return csr_matrix((np.ones(rows.size), cols, indptr), shape=(dim, rows.size))
-
-
-def ttv_tuples(E, w, M, dim, digits):
+def ttv_tuples(tensor, M, digits):
     """Multi-vector contractions for explicit rows of factor-column indices.
 
     Column ``t`` of the ``(dim, len(digits))`` result is the order-(k-1)
-    contraction of the hyperedge tensor ``(E, w)`` with the factor columns
+    contraction of the motif tensor with the factor columns
     ``M[:, digits[t, 0]], ..., M[:, digits[t, k-2]]``: entry ``i`` sums, over
     hyperedges containing ``i`` and over all bijections from the selected
     columns to the other ``k - 1`` vertices, the hyperedge weight times the
@@ -127,10 +116,11 @@ def ttv_tuples(E, w, M, dim, digits):
     slot order, and each output entry adds them up slot by slot, then
     hyperedge by hyperedge, so results do not depend on the blocking.
     """
+    E, w = tensor.hyperedges, tensor.weights
     nnz, k = E.shape
     digits = np.asarray(digits, dtype=np.int64).reshape(-1, k - 1)
     width = digits.shape[0]
-    out = np.zeros((dim, width))
+    out = np.zeros((tensor.dim, width))
     if nnz == 0 or width == 0:
         return out
     perms, rest = _tables(k)
@@ -141,7 +131,7 @@ def ttv_tuples(E, w, M, dim, digits):
     # the first factor of each term carries the weight: weight times factor,
     # applied once per slot instead of once per term
     GW = [g * w for g in G]
-    S = _incidence(E, dim)
+    S = tensor.scatter
     block = max(1, TUPLE_CHUNK // (k * nnz))
     for lo in range(0, width, block):
         dig = digits[lo:lo + block]

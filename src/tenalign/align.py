@@ -322,12 +322,11 @@ def _accumulated_contraction(pair, factors):
     """
     k = pair.order
     digits = np.indices((factors.rank,) * (k - 1)).reshape(k - 1, -1).T
-    a, b = pair.a, pair.b
     X = np.zeros((pair.dim_a, pair.dim_b))
     for lo in range(0, digits.shape[0], ACCUM_BATCH):
         batch = digits[lo:lo + ACCUM_BATCH]
-        ub = ttv_tuples(a.hyperedges, a.weights, factors.u, a.dim, batch)
-        vb = ttv_tuples(b.hyperedges, b.weights, factors.v, b.dim, batch)
+        ub = ttv_tuples(pair.a, factors.u, batch)
+        vb = ttv_tuples(pair.b, factors.v, batch)
         X += ub @ vb.T
     return X
 

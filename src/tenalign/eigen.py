@@ -42,6 +42,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from .kron import explicit_kron
+from .tensors import _group
 
 __all__ = [
     "EigenPair",
@@ -223,8 +224,8 @@ def _tail_buckets(n: int, degree: int):
         tails.sort(axis=1)
         # unique over rows is lexicographic, matching the monomial plan order
         bucket = np.unique(tails, axis=0, return_inverse=True)[1].reshape(-1)
-    order = np.argsort(bucket, kind="stable")
-    starts = np.searchsorted(bucket[order], np.arange(_monomial_tables(n, degree)[2]))
+    indptr, order = _group(bucket, _monomial_tables(n, degree)[2])
+    starts = indptr[:-1]
     order.flags.writeable = starts.flags.writeable = False
     return order, starts
 

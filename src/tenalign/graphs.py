@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputFormatError
-from .tensors import MotifTensor
+from .tensors import MotifTensor, _group
 
 __all__ = [
     "Graph",
@@ -73,14 +73,13 @@ class Graph:
     @cached_property
     def adjacency(self) -> list:
         """Sorted neighbor array per vertex."""
+        # edges are sorted u < v rows, so the stable grouping by end vertex
+        # lists each vertex's lower neighbours, then its higher ones, ascending
         u, v = self.edges.T
-        ends, neigh = np.concatenate((u, v)), np.concatenate((v, u))
-        neigh = neigh[np.lexsort((neigh, ends))]
+        indptr, order = _group(np.concatenate((v, u)), self.n)
+        neigh = np.concatenate((u, v))[order]
         neigh.setflags(write=False)
-        return np.split(neigh, np.cumsum(self.degree())[:-1]) if self.n else []
-
-    def degree(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64, copy=False)
+        return np.split(neigh, indptr[1:-1]) if self.n else []
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.num_edges})"
@@ -260,8 +259,7 @@ def enumerate_cliques(graph: Graph, k: int) -> np.ndarray:
     edges = graph.edges
     if k == 2:
         return edges.copy()
-    indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edges[:, 0], minlength=graph.n), out=indptr[1:])
+    indptr = _group(edges[:, 0], graph.n)[0]
     adjacent = RowCodes(edges, graph.n)
     cliques = edges
     for _ in range(k - 2):

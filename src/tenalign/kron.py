@@ -92,15 +92,7 @@ def implicit_kron_ttv(pair: KronPair, X: np.ndarray) -> np.ndarray:
     m, n = pair.dim_a, pair.dim_b
     if X.shape != (m, n):
         raise DimensionMismatchError(f"X must have shape ({m}, {n}), got {X.shape}")
-    return implicit_pair_contract(
-        pair.a.hyperedges,
-        pair.a.weights,
-        pair.b.hyperedges,
-        pair.b.weights,
-        X,
-        m,
-        n,
-    )
+    return implicit_pair_contract(pair.a, pair.b, X)
 
 
 def lowrank_kron_ttv(pair: KronPair, U: np.ndarray, V: np.ndarray):
@@ -149,7 +141,7 @@ def _sorted_tuples(r: int, k: int):
 
 
 def _expand(tensor: MotifTensor, M: np.ndarray, digits, where) -> np.ndarray:
-    cols = ttv_tuples(tensor.hyperedges, tensor.weights, M, tensor.dim, digits)
+    cols = ttv_tuples(tensor, M, digits)
     # a C-contiguous copy, as the direct expansion was: the BLAS products of
     # the iteration round differently on other layouts
     return np.ascontiguousarray(cols[:, where])

@@ -33,7 +33,7 @@ from .align import FactorPair
 from .errors import NumericalFailureError
 from .graphs import Graph, RowCodes, _spans, nearest_rows
 from .matching import Matching
-from .tensors import MotifTensor
+from .tensors import MotifTensor, _group
 
 __all__ = ["RefineOptions", "RefineStats", "local_search"]
 
@@ -173,10 +173,8 @@ class _Layer:
         # B rows are strictly increasing, so leaving out a slot keeps them sorted
         rest = np.concatenate([np.delete(rows_b, q, axis=1) for q in range(tensor_a.order)])
         self.subsets = RowCodes(rest, base, _CodeSet)
-        number = self.subsets.find(rest.T)
-        self.completions = rows_b.T.ravel()[np.argsort(number, kind="stable")]
-        self.lead = np.zeros(self.subsets.keys.bound + 1, dtype=np.int64)
-        np.cumsum(np.bincount(number, minlength=self.subsets.keys.bound), out=self.lead[1:])
+        self.lead, order = _group(self.subsets.find(rest.T), self.subsets.keys.bound)
+        self.completions = rows_b.T.ravel()[order]
         self.ok = self.row_ok([match_a[col] for col in self.cols]).astype(np.float64)
 
     def row_ok(self, images: list) -> np.ndarray:

@@ -112,8 +112,8 @@ def duplication_noise(graph: Graph, frac: float, p_edge: float, seed=0) -> Graph
     earlier steps included), keeping each of its current edges independently
     with probability ``p_edge``.
     """
-    if frac < 0:
-        raise ValueError("frac must be nonnegative")
+    if not 0.0 <= frac < math.inf:
+        raise ValueError(f"frac must be finite and nonnegative, got {frac}")
     if not 0.0 <= p_edge <= 1.0:
         raise ValueError("p_edge must lie in [0, 1]")
     rng = _rng(seed)

@@ -81,13 +81,23 @@ class MotifTensor:
         Returns ``(indptr, edge_ids)`` with the hyperedge ids incident to
         vertex ``v`` at ``edge_ids[indptr[v]:indptr[v + 1]]``, ascending.
         """
-        flat = self.hyperedges.ravel()
-        ids = np.repeat(np.arange(self.nnz, dtype=np.int64), self.order)
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=self.dim)
-        indptr = np.zeros(self.dim + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, ids[order]
+        indptr, order = _group(self.hyperedges.ravel(), self.dim)
+        return indptr, order // self.order
+
+    @cached_property
+    def scatter(self):
+        """CSR ``(dim, order * nnz)`` 0/1 matrix; column ``a * nnz + e`` is
+        the vertex in slot ``a`` of hyperedge ``e``.
+
+        Each row lists its columns in ascending order, so a product with it
+        adds slot by slot and, within a slot, hyperedge by hyperedge.
+        """
+        # imported here, not at the top: scipy.sparse takes ~0.25 s to load
+        from scipy.sparse import csr_matrix
+
+        slots = self.hyperedges.T.reshape(-1)
+        indptr, cols = _group(slots, self.dim)
+        return csr_matrix((np.ones(slots.size), cols, indptr), shape=(self.dim, slots.size))
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full symmetric tensor as a dense array.
@@ -110,6 +120,17 @@ class MotifTensor:
         return (
             f"MotifTensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
         )
+
+
+def _group(keys: np.ndarray, size: int):
+    """Stable counting sort of ``keys``, integers in ``[0, size)``, into CSR form.
+
+    Returns ``(indptr, order)``: the positions of the keys equal to ``v`` are
+    ``order[indptr[v]:indptr[v + 1]]``, ascending.
+    """
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=indptr[1:])
+    return indptr, np.argsort(keys, kind="stable")
 
 
 def _check_vector(tensor: MotifTensor, x: np.ndarray) -> np.ndarray:

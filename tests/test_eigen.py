@@ -554,6 +554,17 @@ class TestShapeTables:
             assert np.array_equal(got, want)
             with pytest.raises(ValueError, match="read-only"):
                 got[0] = 1
+        # the former argsort-plus-searchsorted grouping, as an oracle; the grid
+        # holds every (n, degree) of eigcheck's dims {2, 3} x orders {3, 4, 5}
+        bucket = np.zeros(1, dtype=np.int64)
+        if degree >= 1:
+            tails = np.stack(np.unravel_index(np.arange(n**degree), (n,) * degree), axis=1)
+            tails.sort(axis=1)
+            bucket = np.unique(tails, axis=0, return_inverse=True)[1].reshape(-1)
+        order = np.argsort(bucket, kind="stable")
+        starts = np.searchsorted(bucket[order], np.arange(count))
+        for got, want in zip(_tail_buckets(n, degree), (order, starts)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_operators_share_tables_not_workspaces(self, rng):
         a = SymMatvec(random_symmetric_tensor(3, 4, rng))

@@ -107,26 +107,36 @@ class TestGraph:
     def test_adjacency_and_degree(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)])
         assert g.adjacency[0].tolist() == [1, 2]
-        assert g.degree().tolist() == [2, 1, 2, 1]
+        assert np.bincount(g.edges.ravel(), minlength=g.n).tolist() == [2, 1, 2, 1]
 
     @pytest.mark.parametrize(
         "n,p,seed", [(0, 0.0, 0), (1, 0.0, 0), (7, 0.0, 1), (30, 0.2, 2), (200, 0.05, 3)]
     )
     def test_adjacency_and_degree_equal_former_loops(self, n, p, seed):
-        g = random_graph(n, p, np.random.default_rng(seed))
-        neigh = [[] for _ in range(n)]
-        deg = np.zeros(n, dtype=np.int64)
-        for u, v in g.edges:
-            neigh[u].append(v)
-            neigh[v].append(u)
-            deg[u] += 1
-            deg[v] += 1
-        want = [np.asarray(sorted(a), dtype=np.int64) for a in neigh]
-        assert len(g.adjacency) == n
-        for got, ref in zip(g.adjacency, want):
-            assert got.dtype == np.int64 and got.tolist() == ref.tolist()
-        assert g.degree().dtype == np.int64
-        assert g.degree().tolist() == deg.tolist()
+        edges = random_graph(n, p, np.random.default_rng(seed)).edges
+        # the graph as drawn, then with three isolated top vertices
+        for g in (Graph(n, edges), Graph(n + 3, edges)):
+            neigh = [[] for _ in range(g.n)]
+            deg = np.zeros(g.n, dtype=np.int64)
+            for u, v in g.edges:
+                neigh[u].append(v)
+                neigh[v].append(u)
+                deg[u] += 1
+                deg[v] += 1
+            want = [np.asarray(sorted(a), dtype=np.int64) for a in neigh]
+            assert len(g.adjacency) == g.n
+            for got, ref in zip(g.adjacency, want):
+                assert got.dtype == np.int64 and got.tolist() == ref.tolist()
+                assert not got.flags.writeable
+            assert np.bincount(g.edges.ravel(), minlength=g.n).tolist() == deg.tolist()
+            # the former lexsort grouping, equal array for array
+            u, v = g.edges.T
+            ends, flat = np.concatenate((u, v)), np.concatenate((v, u))
+            flat = flat[np.lexsort((flat, ends))]
+            former = np.split(flat, np.cumsum(deg)[:-1]) if g.n else []
+            assert len(former) == g.n
+            for got, ref in zip(g.adjacency, former):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 class TestEnumeration:

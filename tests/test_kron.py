@@ -89,11 +89,11 @@ def ttv_tuples_oracle(E, w, M, dim, digits):
     return out
 
 
-def column_block(E, w, M, dim, start, stop):
+def column_block(tensor, M, start, stop):
     """Kernel columns for the lexicographic tuple indices ``start..stop``."""
-    shape = (M.shape[1],) * (E.shape[1] - 1)
+    shape = (M.shape[1],) * (tensor.order - 1)
     digits = np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
-    return _kernels.ttv_tuples(E, w, M, dim, digits)
+    return _kernels.ttv_tuples(tensor, M, digits)
 
 
 def bits(x):
@@ -240,7 +240,7 @@ class TestImplicit:
                 X[rng.random((m, n)) < 0.3] = -0.0
                 X[rng.random((m, n)) < 0.1] = 0.0
                 args = (ta.hyperedges, ta.weights, tb.hyperedges, tb.weights, X, m, n)
-                got = _kernels.implicit_pair_contract(*args)
+                got = _kernels.implicit_pair_contract(ta, tb, X)
                 ref = implicit_oracle(*args, chunk_entries=chunk_entries)
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
@@ -258,17 +258,17 @@ class TestTtvTuples:
                 M[rng.random((n, r)) < 0.2] = -0.0
                 digits = rng.integers(0, r, (width, k - 1))
                 args = (t.hyperedges, t.weights, M, n, digits)
-                got = _kernels.ttv_tuples(*args)
+                got = _kernels.ttv_tuples(t, M, digits)
                 assert np.array_equal(bits(got), bits(ttv_tuples_oracle(*args)))
 
     def test_empty_tensor_and_no_digits(self, rng):
         for k in (2, 3, 4):
             t = MotifTensor(k, 5, [], [])
             M = rng.standard_normal((5, 2))
-            out = _kernels.ttv_tuples(t.hyperedges, t.weights, M, 5, np.zeros((3, k - 1)))
+            out = _kernels.ttv_tuples(t, M, np.zeros((3, k - 1)))
             assert out.shape == (5, 3) and not out.any()
             full = random_motif(k, 6, rng)
-            out = _kernels.ttv_tuples(full.hyperedges, full.weights, M, 6, np.zeros((0, k - 1)))
+            out = _kernels.ttv_tuples(full, M, np.zeros((0, k - 1)))
             assert out.shape == (6, 0)
 
 
@@ -294,8 +294,8 @@ class TestSymmetricExpansion:
         got = lowrank_kron_ttv(pair, U, V)
         full = r ** (k - 1)
         ref = (
-            column_block(pair.a.hyperedges, pair.a.weights, U, n, 0, full),
-            column_block(pair.b.hyperedges, pair.b.weights, V, n + 1, 0, full),
+            column_block(pair.a, U, 0, full),
+            column_block(pair.b, V, 0, full),
         )
         return got, ref
 
@@ -327,9 +327,8 @@ class TestLowRank:
                 M[rng.random((n, r)) < 0.2] = -0.0
                 total = r ** (k - 1)
                 for start, stop in ((0, total), (total // 3, total), (0, 0)):
-                    args = (t.hyperedges, t.weights, M, n, start, stop)
-                    got = column_block(*args)
-                    ref = column_block_oracle(*args)
+                    got = column_block(t, M, start, stop)
+                    ref = column_block_oracle(t.hyperedges, t.weights, M, n, start, stop)
                     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_rank1_special_case(self, triangle, rng):

@@ -6,7 +6,8 @@ import numba.  Every public function and class must have a caller in the
 pipeline, so that code only tests call does not collect in the library, and
 every private one a reference in the package, so that a replaced path cannot
 linger beside its successor.  The same holds for the public methods and
-properties of public classes.  Every defaulted parameter, dataclass fields
+properties of public classes; a plain method counts as called only where its
+name is the function of a call.  Every defaulted parameter, dataclass fields
 included, must be passed by some pipeline call, so that a value no caller
 varies is a module constant, and every defaulted dataclass field must be left
 out by one, so that its default applies.
@@ -81,13 +82,26 @@ def test_public_names_have_a_pipeline_caller():
     assert not uncalled, "public names without a pipeline caller: " + ", ".join(uncalled)
 
 
+def _call_names(paths):
+    """The name of the function of every call in the given files: ``f`` for
+    ``f(...)``, ``obj.f(...)`` and ``Class.f(...)``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                names.add(_called_name(node))
+    return names
+
+
 def test_public_methods_have_a_pipeline_caller():
     # a classmethod or staticmethod is called through its class, so it needs
-    # a ``Class.method`` read; other methods and properties are reached
-    # through instances, so their attribute name is enough
+    # a ``Class.method`` read; a property is reached through instances, so its
+    # attribute name is enough; a plain method needs a call by its name, since
+    # a data attribute of the same name is no caller
     callers = _pipeline_callers()
     used = _referenced_names(callers)
     used_on_class = _referenced_names(callers, qualified=True)
+    called_by_name = _call_names(callers)
     uncalled = []
     for path in SOURCES:
         for cls in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -99,8 +113,10 @@ def test_public_methods_have_a_pipeline_caller():
                 decorators = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
                 if decorators & {"classmethod", "staticmethod"}:
                     called = f"{cls.name}.{node.name}" in used_on_class
-                else:
+                elif decorators & {"property", "cached_property"}:
                     called = node.name in used
+                else:
+                    called = node.name in called_by_name
                 if not called:
                     uncalled.append(f"{path.stem}.{cls.name}.{node.name} (line {node.lineno})")
     assert not uncalled, "public methods without a pipeline caller: " + ", ".join(uncalled)

@@ -17,7 +17,7 @@ def ttv_multi(tensor, xs):
     the multi-vector kernel over the stacked vectors."""
     cols = np.column_stack(xs)
     digits = [range(len(xs))]
-    return _kernels.ttv_tuples(tensor.hyperedges, tensor.weights, cols, tensor.dim, digits)[:, 0]
+    return _kernels.ttv_tuples(tensor, cols, digits)[:, 0]
 
 
 class TestConstruction:
@@ -53,13 +53,63 @@ class TestConstruction:
             triangle.hyperedges[0, 0] = 5
 
     def test_incidence(self, rng):
-        t = random_motif(3, 6, rng)
-        indptr, ids = t.incidence
-        for v in range(6):
-            expected = sorted(
-                e for e in range(t.nnz) if v in t.hyperedges[e].tolist()
-            )
-            assert ids[indptr[v]:indptr[v + 1]].tolist() == expected
+        for t in [random_motif(3, 6, rng), *scatter_cases(rng)]:
+            indptr, ids = t.incidence
+            assert indptr.dtype == ids.dtype == np.int64 and indptr.size == t.dim + 1
+            for v in range(t.dim):
+                expected = sorted(
+                    e for e in range(t.nnz) if v in t.hyperedges[e].tolist()
+                )
+                assert ids[indptr[v]:indptr[v + 1]].tolist() == expected
+
+
+def former_incidence(E, dim):
+    """The former ``_kernels._incidence``, kept verbatim as an oracle."""
+    from scipy.sparse import csr_matrix
+
+    rows = E.T.reshape(-1)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    cols = np.argsort(rows, kind="stable")
+    return csr_matrix((np.ones(rows.size), cols, indptr), shape=(dim, rows.size))
+
+
+def scatter_cases(rng):
+    """Tensors of order 2-5: empty ones, random ones, and random ones whose
+    top vertices are isolated."""
+    for k in (2, 3, 4, 5):
+        yield MotifTensor(k, 1, [], [])
+        yield MotifTensor(k, k + 2, [], [])
+        for dim in (k, k + 1, 8):
+            t = random_motif(k, dim, rng)
+            yield t
+            yield MotifTensor(k, dim + 3, t.hyperedges, t.weights)
+
+
+class TestScatter:
+    def test_equals_former_incidence(self, rng):
+        for t in scatter_cases(rng):
+            got, want = t.scatter, former_incidence(t.hyperedges, t.dim)
+            assert got.shape == want.shape == (t.dim, t.order * t.nnz)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_built_once_per_tensor(self, monkeypatch, rng):
+        calls = []
+
+        def counting(keys, size):
+            calls.append(size)
+            return group(keys, size)
+
+        group = tensors._group
+        monkeypatch.setattr(tensors, "_group", counting)
+        t = random_motif(3, 7, rng)
+        M = rng.standard_normal((7, 2))
+        first = _kernels.ttv_tuples(t, M, [[0, 1]])
+        second = _kernels.ttv_tuples(t, M, [[1, 1], [0, 0]])
+        assert calls == [7]
+        assert first.shape == (7, 1) and second.shape == (7, 2)
 
 
 class TestTtvSame:
