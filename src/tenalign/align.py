@@ -62,16 +62,13 @@ class AlignOptions:
     """Shared iteration parameters.
 
     ``alpha`` remixes the initial iterate back in (1.0 recovers the plain
-    shifted power iteration) and ``beta`` is the spectral shift.  With
-    ``match_every`` unset, TAME and LowRankTAME score every iterate while
-    the independent-sequence method matches only once at the end.
+    shifted power iteration) and ``beta`` is the spectral shift.
     """
 
     alpha: float = 1.0
     beta: float = 0.0
     max_iter: int = 15
     tol: float = 1e-6
-    match_every: bool | None = None
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -162,23 +159,22 @@ def _power_iteration(method, steps, tensor_a, tensor_b, opts) -> AlignmentOutput
     ``steps(pair, opts)`` yields ``(IterationStats, iterate)`` per iteration
     from the run's one :class:`KronPair` (built first, so every method raises
     its errors for unequal orders or a non-tensor operand), the iterate a dense
-    matrix or a :class:`FactorPair`.  The loop matches iterates, keeps the
-    earliest best-scoring one and stops when the estimate ``lam`` changes by
-    less than ``tol``.  Lambda-TAME's independent sequences never stop early
-    and are matched on the last iterate only, unless ``match_every`` asks for
-    every iterate; without per-iterate matching the last iterate is the one
-    matched and returned.
+    matrix or a :class:`FactorPair`.  For TAME and LowRankTAME the loop
+    matches every iterate, keeps the earliest best-scoring one and stops when
+    the estimate ``lam`` changes by less than ``tol``.  Lambda-TAME's independent sequences never stop early
+    and only their last iterate is matched and returned.  An empty operand
+    raises :class:`DegenerateProblemError` before any iteration.
     """
     pair = KronPair(tensor_a, tensor_b)
-    for t in (tensor_a, tensor_b):
+    for name, t in (("A", tensor_a), ("B", tensor_b)):
         if t.nnz == 0:
             raise DegenerateProblemError(
-                "empty motif tensor: the iteration carries no signal"
+                f"motif tensor {name} is empty (no order-{t.order} motif), "
+                "so the iteration carries no signal"
             )
     per_graph = method == "lambda-tame"
     if opts.max_iter < 1 and not per_graph:
         raise ValueError(f"max_iter must be >= 1 for {method}")
-    match_every = not per_graph if opts.match_every is None else opts.match_every
     stats: list[IterationStats] = []
     iterates = [] if opts.keep_iterates else None
     best = best_score = best_matching = None
@@ -186,7 +182,7 @@ def _power_iteration(method, steps, tensor_a, tensor_b, opts) -> AlignmentOutput
     converged = per_graph
     lam_prev = np.inf
     for entry, iterate in steps(pair, opts):
-        if match_every:
+        if not per_graph:
             matching, entry.score, entry.matching_seconds = _score_dense(
                 _dense(iterate), tensor_a, tensor_b
             )
@@ -200,7 +196,7 @@ def _power_iteration(method, steps, tensor_a, tensor_b, opts) -> AlignmentOutput
             converged = True
             break
         lam_prev = entry.lam
-    if best_score is None:
+    if per_graph:
         best_matching, entry.score, entry.matching_seconds = _score_dense(
             _dense(iterate), tensor_a, tensor_b
         )
@@ -415,9 +411,8 @@ def lambda_tame(
     iteration appends the affine-shifted, normalized contraction of the
     previous column, independently per tensor.  ``tol`` is ignored: the
     sequences always run to ``max_iter`` columns, after which the dense
-    product ``U V^T`` is matched once (per-iterate scoring can be requested
-    through ``match_every``).  With ``max_iter == 0`` the one iterate is the
-    initial column pair, reported as iteration 0.
+    product ``U V^T`` is matched once.  With ``max_iter == 0`` the one
+    iterate is the initial column pair, reported as iteration 0.
     """
     return _power_iteration("lambda-tame", _lambda_steps, tensor_a, tensor_b, opts)
 

@@ -7,7 +7,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -17,7 +16,7 @@ from . import records as rec
 from .align import AlignOptions, FactorPair, lambda_tame, lowrank_tame, tame, truncated_svd
 from .eigen import TOL_FLOOR, random_symmetric_tensor, verify_decoupling
 from .errors import TenalignError
-from .graphs import MAX_MOTIF, MIN_MOTIF, Graph, clique_tensor, load_edge_list, save_edge_list
+from .graphs import MAX_MOTIF, MIN_MOTIF, clique_tensor, load_edge_list, save_edge_list
 from .matching import accuracy, edges_aligned, motifs_aligned
 from .refine import RefineOptions, RefineStats, local_search
 from .synth import make_problem
@@ -36,12 +35,6 @@ def _add_align_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--refine", choices=REFINES, default="none")
     p.add_argument("--knn", default="auto", help="neighbor count or 'auto'")
     p.add_argument("--sweeps", type=int, default=10, help="max refinement sweeps")
-    p.add_argument("--match-every", choices=("auto", "always", "final"), default="auto")
-    p.add_argument(
-        "--fallback-edges",
-        action="store_true",
-        help="fall back to k=2 adjacency tensors when no motif is found",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,26 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_align_flags(p_syn)
     return parser
-
-
-def _tensors_for(graph_a: Graph, graph_b: Graph, args):
-    k = args.motif
-    tensor_a = clique_tensor(graph_a, k)
-    tensor_b = clique_tensor(graph_b, k)
-    if tensor_a.nnz == 0 or tensor_b.nnz == 0:
-        if args.fallback_edges and k > 2:
-            warnings.warn(
-                f"no {k}-cliques found; falling back to edge (k=2) tensors"
-            )
-            k = 2
-            tensor_a = clique_tensor(graph_a, 2)
-            tensor_b = clique_tensor(graph_b, 2)
-        else:
-            raise TenalignError(
-                f"empty motif tensor for k={k}; re-run with --fallback-edges "
-                "to align on edges instead"
-            )
-    return tensor_a, tensor_b, k
 
 
 def _embedding_factors(output) -> FactorPair:
@@ -160,7 +133,6 @@ def _options(args, methods):
             f"--iters must be >= 1 for tame and lowrank-tame, got {args.iters}"
         )
     knn = _knn(args.knn)
-    match_every = {"auto": None, "always": True, "final": False}[args.match_every]
     try:
         return (
             AlignOptions(
@@ -168,7 +140,6 @@ def _options(args, methods):
                 beta=args.beta,
                 max_iter=args.iters,
                 tol=args.tol,
-                match_every=match_every,
             ),
             RefineOptions(k_neighbors=knn, max_sweeps=args.sweeps),
         )
@@ -180,7 +151,8 @@ def _options(args, methods):
 def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed):
     t_start = time.perf_counter()
     t0 = time.perf_counter()
-    tensor_a, tensor_b, k = _tensors_for(graph_a, graph_b, args)
+    tensor_a = clique_tensor(graph_a, args.motif)
+    tensor_b = clique_tensor(graph_b, args.motif)
     tensor_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
     output = _run_method(method, tensor_a, tensor_b, opts)
@@ -215,7 +187,7 @@ def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed
         "schema_version": rec.SCHEMA_VERSION,
         "kind": "align",
         "method": method,
-        "motif_order": k,
+        "motif_order": args.motif,
         "refine": {
             "kind": refine,
             "k_neighbors": ropts.k_neighbors,
@@ -230,7 +202,8 @@ def _align_once(graph_a, graph_b, truth, args, opts, ropts, method, refine, seed
             "max_iter": args.iters,
             "tol": args.tol,
             "column_cap": kron.COLUMN_CAP,
-            "match_every": args.match_every,
+            # one matching policy per method; the field stays until a schema bump
+            "match_every": "auto",
         },
         "problem": {
             "n_a": graph_a.n,
@@ -268,6 +241,9 @@ def cmd_align(args) -> int:
     opts, ropts = _options(args, [args.method])
     graph_a = load_edge_list(args.graph_a)
     graph_b = load_edge_list(args.graph_b)
+    for path, graph in ((args.graph_a, graph_a), (args.graph_b, graph_b)):
+        if graph.n == 0:
+            raise TenalignError(f"{path}: graph has no vertices")
     truth = rec.load_truth(args.truth) if args.truth else None
     if truth is not None and (len(truth) > graph_a.n or truth.max(initial=-1) >= graph_b.n):
         raise TenalignError(

@@ -32,8 +32,9 @@ class MotifTensor:
     stored in lexicographic row order; ``weights`` has shape ``(nnz,)``.  The
     constructor takes any array-likes for both, such as a list of index
     tuples and one weight each, or two empty lists for the zero tensor.
-    Instances are immutable after construction (arrays are marked read-only),
-    so they can be shared freely between concurrent computations.
+    Instances are immutable after construction (arrays, the cached ones too,
+    are marked read-only), so they can be shared freely between concurrent
+    computations.
     """
 
     order: int
@@ -65,8 +66,7 @@ class MotifTensor:
                 np.all(edges[1:] == edges[:-1], axis=1)
             ):
                 raise ValueError("duplicate hyperedges")
-        edges.setflags(write=False)
-        weights.setflags(write=False)
+        _read_only(edges, weights)
         object.__setattr__(self, "hyperedges", edges)
         object.__setattr__(self, "weights", weights)
 
@@ -82,7 +82,7 @@ class MotifTensor:
         vertex ``v`` at ``edge_ids[indptr[v]:indptr[v + 1]]``, ascending.
         """
         indptr, order = _group(self.hyperedges.ravel(), self.dim)
-        return indptr, order // self.order
+        return _read_only(indptr, order // self.order)
 
     @cached_property
     def scatter(self):
@@ -97,7 +97,9 @@ class MotifTensor:
 
         slots = self.hyperedges.T.reshape(-1)
         indptr, cols = _group(slots, self.dim)
-        return csr_matrix((np.ones(slots.size), cols, indptr), shape=(self.dim, slots.size))
+        S = csr_matrix((np.ones(slots.size), cols, indptr), shape=(self.dim, slots.size))
+        _read_only(S.data, S.indices, S.indptr)
+        return S
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full symmetric tensor as a dense array.
@@ -120,6 +122,13 @@ class MotifTensor:
         return (
             f"MotifTensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
         )
+
+
+def _read_only(*arrays):
+    """Mark ``arrays`` read-only and return them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _group(keys: np.ndarray, size: int):

@@ -182,8 +182,7 @@ def test_criterion_04_dense_lowrank_iterate_equality(equality_problems):
         for alpha in (0.5, 1.0):
             for beta in (0.0, 1.0, 10.0):
                 opts = AlignOptions(
-                    alpha=alpha, beta=beta, max_iter=15, tol=0.0,
-                    match_every=False, keep_iterates=True,
+                    alpha=alpha, beta=beta, max_iter=15, tol=0.0, keep_iterates=True
                 )
                 dense = tame(ta, tb, opts=opts)
                 low = lowrank_tame(ta, tb, opts=opts)
@@ -205,10 +204,7 @@ def test_criterion_04_dense_lowrank_iterate_equality(equality_problems):
 
 def test_criterion_05_rank1_preservation(equality_problems):
     worst = 0.0
-    opts = AlignOptions(
-        alpha=1.0, beta=0.0, max_iter=15, tol=0.0,
-        match_every=False, keep_iterates=True,
-    )
+    opts = AlignOptions(alpha=1.0, beta=0.0, max_iter=15, tol=0.0, keep_iterates=True)
     for ta, tb in equality_problems:
         out = lowrank_tame(ta, tb, opts=opts)
         for stats in out.per_iteration:
@@ -233,7 +229,7 @@ def test_criterion_06_rank_growth_bound(equality_problems):
             for beta in (0.0, 1.0, 10.0):
                 lowrank_tame(
                     ta, tb,
-                    opts=AlignOptions(alpha=alpha, beta=beta, max_iter=10, match_every=False),
+                    opts=AlignOptions(alpha=alpha, beta=beta, max_iter=10),
                 )
     observed = []
     dims = []
@@ -244,7 +240,7 @@ def test_criterion_06_rank_growth_bound(equality_problems):
         for beta in (1.0, 10.0):
             out = lowrank_tame(
                 ta, tb,
-                opts=AlignOptions(alpha=0.5, beta=beta, max_iter=15, match_every=False),
+                opts=AlignOptions(alpha=0.5, beta=beta, max_iter=15),
             )
             observed.append(max(s.rank for s in out.per_iteration))
             dims.append(min(problem.graph_a.n, problem.graph_b.n))
@@ -259,7 +255,7 @@ def test_criterion_07_lowrank_contraction_speedup():
     problem = make_problem(1000, "er", {"p": 0.05}, seed=70)
     ta = clique_tensor(problem.graph_a, 3)
     tb = clique_tensor(problem.graph_b, 3)
-    opts = AlignOptions(alpha=0.5, beta=1.0, max_iter=3, tol=0.0, match_every=False)
+    opts = AlignOptions(alpha=0.5, beta=1.0, max_iter=3, tol=0.0)
     low = lowrank_tame(ta, tb, opts=opts)
     dense = tame(ta, tb, opts=opts)
     low_time = sum(s.contraction_seconds for s in low.per_iteration)

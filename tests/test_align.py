@@ -43,18 +43,18 @@ class TestTame:
 
     def test_unit_norm_iterates(self, small_problem):
         ta, tb = small_problem
-        opts = AlignOptions(alpha=0.5, beta=1.0, max_iter=6, match_every=False, keep_iterates=True)
+        opts = AlignOptions(alpha=0.5, beta=1.0, max_iter=6, keep_iterates=True)
         out = tame(ta, tb, opts=opts)
         for X in out.iterates:
             assert np.linalg.norm(X) == pytest.approx(1.0, abs=1e-12)
 
     def test_lambda_nonnegative_for_nonnegative_data(self, small_problem):
         ta, tb = small_problem
-        out = tame(ta, tb, opts=AlignOptions(alpha=0.5, beta=1.0, max_iter=6, match_every=False))
+        out = tame(ta, tb, opts=AlignOptions(alpha=0.5, beta=1.0, max_iter=6))
         assert all(s.lam >= 0 for s in out.per_iteration)
 
     def test_empty_tensor_rejected(self, triangle):
-        with pytest.raises(DegenerateProblemError):
+        with pytest.raises(DegenerateProblemError, match=r"tensor A is empty \(no order-3"):
             tame(MotifTensor(3, 3, [], []), triangle)
 
     def test_best_iterate_earliest_on_ties(self, triangle):
@@ -68,10 +68,7 @@ class TestIterateEquality:
     @pytest.mark.parametrize("beta", [0.0, 1.0, 10.0])
     def test_dense_and_lowrank_agree(self, small_problem, alpha, beta):
         ta, tb = small_problem
-        opts = AlignOptions(
-            alpha=alpha, beta=beta, max_iter=8, tol=0.0,
-            match_every=False, keep_iterates=True,
-        )
+        opts = AlignOptions(alpha=alpha, beta=beta, max_iter=8, tol=0.0, keep_iterates=True)
         dense = tame(ta, tb, opts=opts)
         lowrank = lowrank_tame(ta, tb, opts=opts)
         assert len(dense.iterates) == len(lowrank.iterates)
@@ -85,7 +82,7 @@ class TestIterateEquality:
 class TestLowRank:
     def test_rank1_preserved_without_shift(self, small_problem):
         ta, tb = small_problem
-        opts = AlignOptions(alpha=1.0, beta=0.0, max_iter=10, tol=0.0, match_every=False)
+        opts = AlignOptions(alpha=1.0, beta=0.0, max_iter=10, tol=0.0)
         out = lowrank_tame(ta, tb, opts=opts)
         for s in out.per_iteration:
             assert s.rank == 1
@@ -93,7 +90,7 @@ class TestLowRank:
 
     def test_rank_growth_bound_tracked(self, small_problem):
         ta, tb = small_problem
-        opts = AlignOptions(alpha=0.5, beta=10.0, max_iter=8, match_every=False)
+        opts = AlignOptions(alpha=0.5, beta=10.0, max_iter=8)
         out = lowrank_tame(ta, tb, opts=opts)
         prev = 1
         for s in out.per_iteration:
@@ -102,9 +99,7 @@ class TestLowRank:
 
     def test_accumulation_path_matches_expansion(self, small_problem, monkeypatch):
         ta, tb = small_problem
-        opts = AlignOptions(
-            alpha=0.5, beta=1.0, max_iter=6, tol=0.0, match_every=False, keep_iterates=True
-        )
+        opts = AlignOptions(alpha=0.5, beta=1.0, max_iter=6, tol=0.0, keep_iterates=True)
         expand = lowrank_tame(ta, tb, opts=opts)
         monkeypatch.setattr(kron, "COLUMN_CAP", 1)
         accum = lowrank_tame(ta, tb, opts=opts)
@@ -143,7 +138,7 @@ class TestLowRank:
             return FactorPair(np.ones((U.shape[0], w)), np.ones((V.shape[0], w))), np.ones(w)
 
         monkeypatch.setattr(align_mod, "rank_reveal", widening)
-        opts = AlignOptions(alpha=1.0, beta=0.0, tol=0.0, match_every=False)
+        opts = AlignOptions(alpha=1.0, beta=0.0, tol=0.0)
         with pytest.raises(NumericalFailureError, match="rank 7 > bound 6"):
             lowrank_tame(triangle, triangle, opts=opts)
 
@@ -213,7 +208,7 @@ class TestLambdaTame:
             assert np.allclose(U[:, ell], step / np.linalg.norm(step), atol=1e-12)
 
     def test_empty_tensor_rejected(self, triangle):
-        with pytest.raises(DegenerateProblemError):
+        with pytest.raises(DegenerateProblemError, match=r"tensor B is empty \(no order-3"):
             lambda_tame(triangle, MotifTensor(3, 4, [], []))
 
     def test_isolated_vertices_tolerated(self):
@@ -254,18 +249,17 @@ def test_dense_operand_rejected(triangle, method):
         METHODS[method](triangle, np.ones((3, 3, 3)))
 
 
-@pytest.mark.parametrize("mode", ["always", "final", "auto"])
+# "auto" is the one policy, as records name it in options.match_every
+@pytest.mark.parametrize("mode", ["auto"])
 @pytest.mark.parametrize("method", list(METHODS))
 def test_match_every_modes(small_problem, method, mode):
-    # auto scores every iterate of tame and lowrank-tame, and lambda-tame
-    # only once, on its last iterate
+    # tame and lowrank-tame score every iterate, and lambda-tame only once,
+    # on its last iterate
     ta, tb = small_problem
-    match_every = {"always": True, "final": False, "auto": None}[mode]
-    every = method != "lambda-tame" if match_every is None else match_every
-    opts = AlignOptions(alpha=0.5, beta=1.0, max_iter=6, match_every=match_every)
+    opts = AlignOptions(alpha=0.5, beta=1.0, max_iter=6)
     out = METHODS[method](ta, tb, opts=opts)
     scores = [s.score for s in out.per_iteration]
-    if every:
+    if method != "lambda-tame":
         assert None not in scores
         top = max(scores)
         assert out.best_score == top
@@ -277,8 +271,7 @@ def test_match_every_modes(small_problem, method, mode):
         assert out.best_index == out.per_iteration[-1].index
     assert all(s.matching_seconds == 0.0 for s in out.per_iteration if s.score is None)
     if method == "lambda-tame":
-        opts = AlignOptions(alpha=0.5, beta=1.0, max_iter=0, match_every=match_every)
-        out = lambda_tame(ta, tb, opts=opts)
+        out = lambda_tame(ta, tb, AlignOptions(alpha=0.5, beta=1.0, max_iter=0))
         assert [s.index for s in out.per_iteration] == [0]
         assert out.best_index == 0
         assert out.per_iteration[0].score is not None

@@ -340,30 +340,45 @@ class TestAlignCommand:
         code = main(
             ["align", "--graph-a", a_path, "--graph-b", a_path, "--motif", "3", "--out", out]
         )
-        assert code != 0
+        assert code == 2
+        assert "motif tensor A is empty (no order-3 motif)" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_edge_fallback(self, tmp_path):
-        from tenalign.graphs import Graph
+    @pytest.mark.parametrize("command", ["align", "synth"])
+    def test_empty_operand_named(self, tmp_path, capsys, command):
+        # graph B without a triangle, graph A with some
+        if command == "align":
+            a_path, b_path = str(tmp_path / "a.el"), str(tmp_path / "path.el")
+            with open(a_path, "w") as fh:
+                fh.write("1 2\n2 3\n1 3\n")
+            with open(b_path, "w") as fh:
+                fh.write("1 2\n2 3\n")
+            out = str(tmp_path / "r.json")
+            args = ["align", "--graph-a", a_path, "--graph-b", b_path, "--out", out]
+        else:
+            out = str(tmp_path / "syn" / "records.jsonl")
+            args = [
+                "synth", "--n", "6", "--model", "er", "--p", "0.5", "--seed", "10",
+                "--run", "tame", "--out", str(tmp_path / "syn"),
+            ]
+        code = main([*args, "--motif", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "tenalign: motif tensor B is empty (no order-3 motif)" in err
+        assert not os.path.exists(out)
 
-        bipartite = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        a_path = str(tmp_path / "bip.el")
-        save_edge_list(bipartite, a_path)
+    @pytest.mark.parametrize("side", ["--graph-a", "--graph-b"])
+    def test_graph_without_vertices_named(self, problem_files, tmp_path, capsys, side):
+        # formerly "tensor dimension must be >= 1, got 0", naming no file
+        empty = str(tmp_path / "empty.el")
+        with open(empty, "w") as fh:
+            fh.write("# vertices: 0\n")
+        files = {"--graph-a": problem_files["a"], "--graph-b": problem_files["b"], side: empty}
         out = str(tmp_path / "r.json")
-        with pytest.warns(UserWarning, match="falling back"):
-            code = main(
-                [
-                    "align",
-                    "--graph-a", a_path,
-                    "--graph-b", a_path,
-                    "--motif", "3",
-                    "--fallback-edges",
-                    "--out", out,
-                ]
-            )
-        assert code == 0
-        (record,) = load_records(out)
-        assert record["motif_order"] == 2
+        code = main(["align", *(x for kv in files.items() for x in kv), "--out", out])
+        assert code == 2
+        assert f"tenalign: {empty}: graph has no vertices" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestEigcheckCommand:

@@ -52,6 +52,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             triangle.hyperedges[0, 0] = 5
 
+    def test_cached_arrays_are_frozen(self, rng):
+        # formerly writable: one write would change every later contraction
+        for t in [random_motif(3, 6, rng), *scatter_cases(rng)]:
+            S = t.scatter
+            for a in (*t.incidence, S.data, S.indices, S.indptr):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[:] = 0
+
     def test_incidence(self, rng):
         for t in [random_motif(3, 6, rng), *scatter_cases(rng)]:
             indptr, ids = t.incidence
