@@ -374,11 +374,25 @@ def cmd_synth(args) -> int:
     combos = _parse_run_combos(args.run) if args.run else []
     opts, ropts = _options(args, [method for method, _ in combos])
     os.makedirs(args.out, exist_ok=True)
-    problem_records = []
+    problems = []
     run_records = []
     root = np.random.SeedSequence(args.seed)
+    # every method runs before the first file is written, so a run that
+    # fails leaves no trial files behind
     for trial, child in enumerate(root.spawn(trials)):
         problem = make_problem(args.n, args.model, dict(params), seed=child)
+        problems.append(problem)
+        for method, refine in combos:
+            record, _ = _align_once(
+                problem.graph_a, problem.graph_b, problem.truth,
+                args, opts, ropts, method, refine, args.seed,
+            )
+            record["kind"] = "synth-trial"
+            record["trial"] = trial
+            record["provenance"] = dict(problem.provenance, seed=args.seed)
+            run_records.append(record)
+    problem_records = []
+    for trial, problem in enumerate(problems):
         stem = os.path.join(args.out, f"trial{trial:03d}")
         save_edge_list(problem.graph_a, stem + "_a.el")
         save_edge_list(problem.graph_b, stem + "_b.el")
@@ -400,15 +414,6 @@ def cmd_synth(args) -> int:
                 "edges_b": problem.graph_b.num_edges,
             }
         )
-        for method, refine in combos:
-            record, _ = _align_once(
-                problem.graph_a, problem.graph_b, problem.truth,
-                args, opts, ropts, method, refine, args.seed,
-            )
-            record["kind"] = "synth-trial"
-            record["trial"] = trial
-            record["provenance"] = dict(problem.provenance, seed=args.seed)
-            run_records.append(record)
     rec.write_records(os.path.join(args.out, "problems.jsonl"), problem_records)
     if combos:
         rec.write_records(os.path.join(args.out, "records.jsonl"), run_records)

@@ -85,19 +85,51 @@ class MotifTensor:
         return _read_only(indptr, order // self.order)
 
     @cached_property
-    def scatter(self):
-        """CSR ``(dim, order * nnz)`` 0/1 matrix; column ``a * nnz + e`` is
-        the vertex in slot ``a`` of hyperedge ``e``.
+    def faces(self):
+        """The distinct faces of the hyperedges, and the face of every slot.
 
-        Each row lists its columns in ascending order, so a product with it
-        adds slot by slot and, within a slot, hyperedge by hyperedge.
+        The face of slot ``a`` of hyperedge ``e`` is the sorted
+        ``(order - 1)``-tuple left when ``hyperedges[e, a]`` is removed,
+        together with the weight of ``e``.  Returns ``(vertices, weights,
+        ids)``: row ``f`` of ``vertices`` and entry ``f`` of ``weights`` are
+        face ``f``, the faces being distinct and in lexicographic order of
+        (tuple, weight), and ``ids[a, e]`` is the face of slot ``a`` of
+        hyperedge ``e``.
+        """
+        k, nnz = self.order, self.nnz
+        subs = np.concatenate([np.delete(self.hyperedges, a, axis=1) for a in range(k)])
+        weights = np.tile(self.weights, k)
+        # lexsort's last key is the primary one
+        order = np.lexsort((weights, *subs.T[::-1]))
+        subs, weights = subs[order], weights[order]
+        new = np.ones(k * nnz, dtype=bool)
+        new[1:] = np.any(subs[1:] != subs[:-1], axis=1) | (weights[1:] != weights[:-1])
+        ids = np.empty(k * nnz, dtype=np.int64)
+        ids[order] = np.cumsum(new) - 1
+        return _read_only(subs[new], weights[new], ids.reshape(k, nnz))
+
+    @cached_property
+    def scatter(self):
+        """CSR ``(dim, faces)`` 0/1 matrix: row ``v`` has one entry per slot
+        that holds ``v``, in the column of that slot's face (see ``faces``).
+
+        A row's entries are in ascending order of ``a * nnz + e`` for slot
+        ``a`` of hyperedge ``e``, not of their columns, so a product with a
+        dense operand adds slot by slot and, within a slot, hyperedge by
+        hyperedge.  No row has two entries in one column: a slot's vertex
+        and face together give back its hyperedge.  The arrays are
+        read-only, so nothing can sort the entries by column.
         """
         # imported here, not at the top: scipy.sparse takes ~0.25 s to load
         from scipy.sparse import csr_matrix
 
         slots = self.hyperedges.T.reshape(-1)
-        indptr, cols = _group(slots, self.dim)
-        S = csr_matrix((np.ones(slots.size), cols, indptr), shape=(self.dim, slots.size))
+        indptr, order = _group(slots, self.dim)
+        _, weights, ids = self.faces
+        S = csr_matrix(
+            (np.ones(slots.size), ids.reshape(-1)[order], indptr),
+            shape=(self.dim, weights.size),
+        )
         _read_only(S.data, S.indices, S.indptr)
         return S
 

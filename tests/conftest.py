@@ -9,12 +9,14 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from tenalign.graphs import Graph
+from tenalign.graphs import Graph, clique_tensor
+from tenalign.synth import make_problem
 from tenalign.tensors import MotifTensor
 
 
@@ -39,6 +41,22 @@ def random_motif(order, dim, rng, density=0.6, weighted=True):
         pick = [tuples[int(rng.integers(len(tuples)))]]
     weights = rng.random(len(pick)) + 0.5 if weighted else np.ones(len(pick))
     return MotifTensor(order, dim, pick, weights)
+
+
+@lru_cache(maxsize=None)
+def shared_face_pair(order, weighted):
+    """The order-``order`` clique tensors of both graphs of a 40-vertex
+    duplication problem, whose faces sit in several hyperedges each.  With
+    ``weighted``, the weights alternate between 1 and 2 along the stored
+    hyperedges, so that many face tuples carry two weights."""
+    problem = make_problem(40, "duplication", {"frac": 0.25, "p_edge": 0.5}, seed=1)
+    pair = []
+    for graph in (problem.graph_a, problem.graph_b):
+        t = clique_tensor(graph, order)
+        if weighted:
+            t = MotifTensor(order, t.dim, t.hyperedges, 1.0 + np.arange(t.nnz) % 2)
+        pair.append(t)
+    return tuple(pair)
 
 
 def random_graph(n, p, rng):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_contract, random_motif
+from conftest import dense_contract, random_motif, shared_face_pair
 from tenalign import _kernels, kron
 from tenalign.errors import BudgetExceededError, DimensionMismatchError
 from tenalign.kron import (
@@ -243,6 +243,34 @@ class TestImplicit:
                 got = _kernels.implicit_pair_contract(ta, tb, X)
                 ref = implicit_oracle(*args, chunk_entries=chunk_entries)
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        # faces shared by several hyperedges, also with two weights per face
+        # tuple; at 97 entries every chunk holds one row, so each face's
+        # hyperedges fall in different chunks
+        for order in (2, 3, 4):
+            for weighted in (False, True):
+                self._check_shared(shared_face_pair(order, weighted), rng, chunk_entries)
+
+    @pytest.mark.parametrize("block", [_kernels.IMPLICIT_BLOCK, 1])
+    def test_bit_identical_at_any_block(self, monkeypatch, rng, block):
+        # the scatter splits the rows of one slot pair, and the face products
+        # the B faces, into blocks of this many entries; chunks of 40 rows
+        # split the faces' hyperedges too
+        monkeypatch.setattr(_kernels, "IMPLICIT_BLOCK", block)
+        monkeypatch.setattr(_kernels, "IMPLICIT_CHUNK", 20_000)
+        for order in (2, 3):
+            for weighted in (False, True):
+                self._check_shared(shared_face_pair(order, weighted), rng, 20_000)
+
+    @staticmethod
+    def _check_shared(pair, rng, chunk_entries):
+        ta, tb = pair
+        m, n = ta.dim, tb.dim
+        X = rng.standard_normal((m, n))
+        X[rng.random((m, n)) < 0.3] = -0.0
+        args = (ta.hyperedges, ta.weights, tb.hyperedges, tb.weights, X, m, n)
+        got = _kernels.implicit_pair_contract(ta, tb, X)
+        ref = implicit_oracle(*args, chunk_entries=chunk_entries)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 class TestTtvTuples:
@@ -260,6 +288,16 @@ class TestTtvTuples:
                 args = (t.hyperedges, t.weights, M, n, digits)
                 got = _kernels.ttv_tuples(t, M, digits)
                 assert np.array_equal(bits(got), bits(ttv_tuples_oracle(*args)))
+        # faces shared by several hyperedges, also with two weights per face tuple
+        for order in (2, 3, 4, 5):
+            for weighted in (False, True):
+                for t in shared_face_pair(order, weighted):
+                    M = rng.standard_normal((t.dim, 4))
+                    M[rng.random(M.shape) < 0.2] = -0.0
+                    digits = rng.integers(0, 4, (30, order - 1))
+                    args = (t.hyperedges, t.weights, M, t.dim, digits)
+                    got = _kernels.ttv_tuples(t, M, digits)
+                    assert np.array_equal(bits(got), bits(ttv_tuples_oracle(*args)))
 
     def test_empty_tensor_and_no_digits(self, rng):
         for k in (2, 3, 4):

@@ -559,6 +559,21 @@ class TestSynthCommand:
         assert capsys.readouterr().err.startswith(f"tenalign: {flag} ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed, trials", [("10", "1"), ("26", "2")])
+    def test_failed_run_leaves_no_trial_files(self, tmp_path, capsys, seed, trials):
+        # graph B of the last trial has no triangle; formerly the files of
+        # every trial up to the failing one stayed behind, without problems.jsonl
+        out = tmp_path / "syn"
+        code = main(
+            [
+                "synth", "--n", "6", "--model", "er", "--p", "0.5", "--seed", seed,
+                "--trials", trials, "--run", "tame", "--motif", "3", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "motif tensor B is empty (no order-3 motif)" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_zero_iters_allowed_for_lambda_tame(self, tmp_path):
         out = tmp_path / "sweep"
         code = main(

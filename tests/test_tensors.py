@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_contract, random_motif
+from conftest import dense_contract, random_motif, shared_face_pair
 from tenalign import _kernels, tensors
 from tenalign.errors import (
     BudgetExceededError,
@@ -56,7 +56,7 @@ class TestConstruction:
         # formerly writable: one write would change every later contraction
         for t in [random_motif(3, 6, rng), *scatter_cases(rng)]:
             S = t.scatter
-            for a in (*t.incidence, S.data, S.indices, S.indptr):
+            for a in (*t.incidence, *t.faces, S.data, S.indices, S.indptr):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     a[:] = 0
@@ -84,8 +84,9 @@ def former_incidence(E, dim):
 
 
 def scatter_cases(rng):
-    """Tensors of order 2-5: empty ones, random ones, and random ones whose
-    top vertices are isolated."""
+    """Tensors of order 2-5: empty ones, random ones, random ones whose top
+    vertices are isolated, and clique tensors whose faces sit in several
+    hyperedges, with one weight or two per face tuple."""
     for k in (2, 3, 4, 5):
         yield MotifTensor(k, 1, [], [])
         yield MotifTensor(k, k + 2, [], [])
@@ -93,16 +94,77 @@ def scatter_cases(rng):
             t = random_motif(k, dim, rng)
             yield t
             yield MotifTensor(k, dim + 3, t.hyperedges, t.weights)
+        yield shared_face_pair(k, False)[0]
+        yield shared_face_pair(k, True)[0]
+
+
+class TestFaces:
+    def test_every_slot_has_its_face(self, rng):
+        for t in scatter_cases(rng):
+            vertices, weights, ids = t.faces
+            k = t.order
+            assert vertices.shape == (weights.size, k - 1) and ids.shape == (k, t.nnz)
+            assert vertices.dtype == ids.dtype == np.int64
+            for a in range(k):
+                for e in range(t.nnz):
+                    face = ids[a, e]
+                    assert vertices[face].tolist() == np.delete(t.hyperedges[e], a).tolist()
+                    assert weights[face] == t.weights[e]
+
+    def test_faces_are_distinct_and_used(self, rng):
+        for t in scatter_cases(rng):
+            vertices, weights, ids = t.faces
+            keys = [(*v, w) for v, w in zip(vertices.tolist(), weights.tolist())]
+            assert keys == sorted(set(keys))
+            assert np.array_equal(np.unique(ids), np.arange(len(keys)))
+
+    def test_shared_faces(self):
+        # 6.7 and 4.8 slots per face on these tensors; with alternating
+        # weights a face tuple can stand for two faces
+        for k in (3, 4):
+            plain = shared_face_pair(k, False)[0]
+            weighted = shared_face_pair(k, True)[0]
+            assert k * plain.nnz >= 4 * plain.faces[1].size
+            assert weighted.faces[1].size > plain.faces[1].size
+            assert np.unique(weighted.faces[0], axis=0).shape == plain.faces[0].shape
+
+    def test_order_two_faces_are_vertices(self):
+        t = MotifTensor(2, 4, [(0, 1), (0, 2), (1, 2), (2, 3)], [1.0, 1.0, 1.0, 3.0])
+        vertices, weights, ids = t.faces
+        assert vertices.tolist() == [[0], [1], [2], [2], [3]]
+        assert weights.tolist() == [1.0, 1.0, 1.0, 3.0, 3.0]
+        assert ids.tolist() == [[1, 2, 2, 4], [0, 0, 1, 3]]
+
+    def test_one_tuple_two_weights(self):
+        t = MotifTensor(3, 4, [(0, 1, 2), (0, 1, 3)], [2.0, 1.0])
+        vertices, weights, ids = t.faces
+        assert vertices.tolist() == [[0, 1], [0, 1], [0, 2], [0, 3], [1, 2], [1, 3]]
+        assert weights.tolist() == [1.0, 2.0, 2.0, 1.0, 2.0, 1.0]
+        assert ids.tolist() == [[4, 5], [2, 3], [1, 0]]
+
+    def test_empty_tensor(self):
+        for k in (2, 3, 5):
+            vertices, weights, ids = MotifTensor(k, 4, [], []).faces
+            assert vertices.shape == (0, k - 1) and weights.shape == (0,)
+            assert ids.shape == (k, 0)
 
 
 class TestScatter:
-    def test_equals_former_incidence(self, rng):
+    def test_former_incidence_over_faces(self, rng):
+        # the former (slot, hyperedge) columns, now each slot's face, in the
+        # former order within every row; no row lists a face twice
         for t in scatter_cases(rng):
             got, want = t.scatter, former_incidence(t.hyperedges, t.dim)
-            assert got.shape == want.shape == (t.dim, t.order * t.nnz)
-            for name in ("indptr", "indices", "data"):
+            _, weights, ids = t.faces
+            assert got.shape == (t.dim, weights.size)
+            assert want.shape == (t.dim, t.order * t.nnz)
+            for name in ("indptr", "data"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert np.array_equal(got.indices, ids.reshape(-1)[want.indices])
+            for v in range(t.dim):
+                row = got.indices[got.indptr[v]:got.indptr[v + 1]]
+                assert np.unique(row).size == row.size
 
     def test_built_once_per_tensor(self, monkeypatch, rng):
         calls = []
