@@ -53,15 +53,11 @@ def using_numba() -> bool:
 
 
 @lru_cache(maxsize=32)
-def _tables(k: int):
-    """Permutations of k-1 slots and the k leave-one-out position tables."""
+def _perms(k: int):
+    """The permutations of k-1 slots, one per row."""
     perms = np.array(list(permutations(range(k - 1))), dtype=np.int64)
-    rest = np.array(
-        [[c for c in range(k) if c != a] for a in range(k)], dtype=np.int64
-    )
     perms.setflags(write=False)
-    rest.setflags(write=False)
-    return perms, rest
+    return perms
 
 
 def implicit_pair_contract(tensor_a, tensor_b, X):
@@ -85,7 +81,7 @@ def implicit_pair_contract(tensor_a, tensor_b, X):
     Y = np.zeros((tensor_a.dim, n))
     if nnz_a == 0 or nnz_b == 0:
         return Y
-    perms, _ = _tables(k)
+    perms = _perms(k)
     gamma = float(math.factorial(k - 1))
     XT = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
     FA, wA, facesA = tensor_a.faces
@@ -173,7 +169,7 @@ def ttv_tuples(tensor, M, digits):
     out = np.zeros((tensor.dim, width))
     if nnz == 0 or width == 0:
         return out
-    perms, _ = _tables(k)
+    perms = _perms(k)
     F, w, _ = tensor.faces
     # factor rows gathered once per face position and transposed, (r, faces),
     # so each term of a column block is a row gather G[t][digits]

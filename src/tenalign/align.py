@@ -10,8 +10,8 @@ the (implicit) product tensor of the motif adjacency tensors:
   each iteration expands the factor columns through the decoupled
   contraction, applies the affine shift as scaled factor blocks, and
   re-truncates with a rank-revealing factorization.  When the column
-  expansion ``r^{k-1}`` exceeds ``kron.COLUMN_CAP`` the iterate is
-  accumulated densely from column batches instead.
+  expansion ``r^{k-1}`` exceeds ``kron.COLUMN_CAP`` the densified iterate
+  takes ``tame``'s step instead and is re-factored by truncated SVD.
 * ``lambda_tame``: one independent power sequence per tensor; the collected
   columns embed both vertex sets and the product of the factor matrices is
   matched once at the end.
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kron
-from ._kernels import ttv_tuples
 from .errors import (
     DegenerateIterateError,
     DegenerateProblemError,
@@ -54,7 +53,6 @@ __all__ = [
 ]
 
 TRUNC_TOL = 1e-12  # singular values at or below this times the largest drop
-ACCUM_BATCH = 16  # tuple columns per batch on the accumulate path
 
 
 @dataclass(frozen=True)
@@ -225,12 +223,17 @@ def _remix(x_hat, x, x0, opts: AlignOptions, ell: int) -> np.ndarray:
     return new
 
 
-def _dense_step(x_hat, X, X0, opts: AlignOptions, ell: int):
-    """Rayleigh estimate ``trace(X^T Xhat)`` and the remixed dense iterate."""
+def _tame_step(pair, X, X0, opts: AlignOptions, ell: int):
+    """One TAME step on a dense iterate: the implicit contraction ``Xhat``, the
+    Rayleigh estimate ``trace(X^T Xhat)``, the remixed iterate and the
+    contraction's seconds."""
+    t0 = time.perf_counter()
+    x_hat = implicit_kron_ttv(pair, X)
+    t_contract = time.perf_counter() - t0
     lam = float(np.sum(X * x_hat))
     if not np.isfinite(lam):
         raise NumericalFailureError("non-finite eigenvalue estimate")
-    return lam, _remix(x_hat, X, X0, opts, ell)
+    return lam, _remix(x_hat, X, X0, opts, ell), t_contract
 
 
 def tame(
@@ -255,10 +258,7 @@ def _tame_steps(pair, opts):
     X0 = W / np.linalg.norm(W)
     X = X0
     for ell in range(1, opts.max_iter + 1):
-        t0 = time.perf_counter()
-        x_hat = implicit_kron_ttv(pair, X)
-        t_contract = time.perf_counter() - t0
-        lam, X = _dense_step(x_hat, X, X0, opts, ell)
+        lam, X, t_contract = _tame_step(pair, X, X0, opts, ell)
         yield IterationStats(ell, lam, None, None, t_contract, 0.0, path="implicit"), X
 
 
@@ -310,23 +310,6 @@ def _lam_estimate(prev: FactorPair, u_exp: np.ndarray, v_exp: np.ndarray) -> flo
     return float(np.trace((v_exp.T @ prev.v) @ (prev.u.T @ u_exp)))
 
 
-def _accumulated_contraction(pair, factors):
-    """Dense product-tensor contraction accumulated from column batches.
-
-    The batches walk the ``r^{k-1}`` factor-column tuples in lexicographic
-    order, ``ACCUM_BATCH`` at a time.
-    """
-    k = pair.order
-    digits = np.indices((factors.rank,) * (k - 1)).reshape(k - 1, -1).T
-    X = np.zeros((pair.dim_a, pair.dim_b))
-    for lo in range(0, digits.shape[0], ACCUM_BATCH):
-        batch = digits[lo:lo + ACCUM_BATCH]
-        ub = ttv_tuples(pair.a, factors.u, batch)
-        vb = ttv_tuples(pair.b, factors.v, batch)
-        X += ub @ vb.T
-    return X
-
-
 def lowrank_tame(
     tensor_a: MotifTensor,
     tensor_b: MotifTensor,
@@ -341,9 +324,9 @@ def lowrank_tame(
     ``sqrt(1 - alpha)`` before a rank-revealing truncation.  A new rank above
     ``C(r+k-2, k-1) + r + 1`` (the distinct expansion columns, the ``r``
     shift columns and the rank-1 prior) raises :class:`NumericalFailureError`.
-    Above the cap the contraction result is accumulated densely from column
-    batches, remixed and renormalized exactly as in :func:`tame`, and
-    re-factored by SVD (the wide-factor regime).
+    Above the cap the densified iterate takes :func:`tame`'s step (implicit
+    contraction, remix, renormalization) and is re-factored by truncated SVD
+    (the wide-factor regime); its records keep the path name ``accumulate``.
     """
     return _power_iteration("lowrank-tame", _lowrank_steps, tensor_a, tensor_b, opts)
 
@@ -375,10 +358,9 @@ def _lowrank_steps(pair, opts):
             new_factors = _normalized(revealed)
         else:
             path = "accumulate"
-            t0 = time.perf_counter()
-            x_hat = _accumulated_contraction(pair, current)
-            t_contract = time.perf_counter() - t0
-            lam, x_new = _dense_step(x_hat, current.dense(), x0.dense(), opts, ell)
+            lam, x_new, t_contract = _tame_step(
+                pair, current.dense(), x0.dense(), opts, ell
+            )
             t0 = time.perf_counter()
             new_factors, sigma = truncated_svd(x_new)
             t_reveal = time.perf_counter() - t0

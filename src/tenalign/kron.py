@@ -106,8 +106,8 @@ def lowrank_kron_ttv(pair: KronPair, U: np.ndarray, V: np.ndarray):
     the ``C(r+k-2, k-1)`` nondecreasing tuples are contracted, and every
     tuple's column is a copy of its sorted tuple's.  ``r^{k-1}`` above
     :data:`COLUMN_CAP` raises :class:`BudgetExceededError`; the low-rank
-    iteration checks the same bound and accumulates the contraction from
-    column batches instead.
+    iteration checks the same bound and contracts the densified iterate
+    with :func:`implicit_kron_ttv` instead.
     """
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import shared_face_pair
 from tenalign import align as align_mod
 from tenalign import kron
 from tenalign.align import (
@@ -98,16 +99,18 @@ class TestLowRank:
             prev = s.rank
 
     def test_accumulation_path_matches_expansion(self, small_problem, monkeypatch):
-        ta, tb = small_problem
         opts = AlignOptions(alpha=0.5, beta=1.0, max_iter=6, tol=0.0, keep_iterates=True)
-        expand = lowrank_tame(ta, tb, opts=opts)
-        monkeypatch.setattr(kron, "COLUMN_CAP", 1)
-        accum = lowrank_tame(ta, tb, opts=opts)
-        assert any(s.path == "accumulate" for s in accum.per_iteration)
-        assert all(s.path == "expand" for s in expand.per_iteration)
-        for x_e, x_a in zip(expand.iterates, accum.iterates):
-            rel = np.linalg.norm(x_e - x_a) / np.linalg.norm(x_e)
-            assert rel <= 1e-10
+        # the fallback runs at k >= 4 in practice: order-4 clique tensors too
+        for ta, tb in (small_problem, shared_face_pair(4, False)):
+            expand = lowrank_tame(ta, tb, opts=opts)
+            with monkeypatch.context() as patch:
+                patch.setattr(kron, "COLUMN_CAP", 1)
+                accum = lowrank_tame(ta, tb, opts=opts)
+            assert any(s.path == "accumulate" for s in accum.per_iteration)
+            assert all(s.path == "expand" for s in expand.per_iteration)
+            for x_e, x_a in zip(expand.iterates, accum.iterates):
+                rel = np.linalg.norm(x_e - x_a) / np.linalg.norm(x_e)
+                assert rel <= 1e-10
 
     def test_triangle_fixed_point_factors(self, triangle):
         out = lowrank_tame(triangle, triangle, opts=AlignOptions(alpha=1.0, beta=0.0))

@@ -17,6 +17,13 @@ from tenalign.kron import (
 from tenalign.tensors import MotifTensor, ttv_same
 
 
+def oracle_tables(k):
+    """The kernels' permutations of k-1 slots and the k leave-one-out position
+    tables the former loops indexed hyperedge columns by."""
+    rest = np.array([[c for c in range(k) if c != a] for a in range(k)], dtype=np.int64)
+    return _kernels._perms(k), rest
+
+
 def implicit_oracle(EA, wA, EB, wB, X, m, n, chunk_entries=4_000_000):
     """The former implicit-contraction loop, kept verbatim as a bitwise oracle."""
     nnz_a, k = EA.shape
@@ -24,7 +31,7 @@ def implicit_oracle(EA, wA, EB, wB, X, m, n, chunk_entries=4_000_000):
     Y = np.zeros((m, n))
     if nnz_a == 0 or nnz_b == 0:
         return Y
-    perms, rest = _kernels._tables(k)
+    perms, rest = oracle_tables(k)
     gamma = float(math.factorial(k - 1))
     X = np.ascontiguousarray(X, dtype=np.float64)
     chunk = max(1, chunk_entries // nnz_b)
@@ -49,7 +56,7 @@ def column_block_oracle(E, w, M, dim, start, stop):
     """The former column-block loop, kept verbatim as a bitwise oracle."""
     nnz, k = E.shape
     r = M.shape[1]
-    perms, rest = _kernels._tables(k)
+    perms, rest = oracle_tables(k)
     digits = np.stack(
         np.unravel_index(np.arange(start, stop), (r,) * (k - 1)), axis=1
     ).astype(np.int64)
@@ -75,7 +82,7 @@ def ttv_tuples_oracle(E, w, M, dim, digits):
     out = np.zeros((dim, width))
     if nnz == 0 or width == 0:
         return out
-    perms, rest = _kernels._tables(k)
+    perms, rest = oracle_tables(k)
     out_flat = out.reshape(-1)
     for a in range(k):
         acc = np.zeros((nnz, width))
